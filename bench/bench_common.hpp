@@ -38,7 +38,18 @@ struct Breakdown {
   /// Modeled comm seconds hidden behind compute by overlapped execution —
   /// informational, NOT part of total() (hidden time costs no wall time).
   double overlap = 0;
+  /// The slowest rank's comm_s + overlap_s: the comm time of the same run
+  /// with nothing hidden, i.e. waited in lockstep as the blocking primitives
+  /// charge it.
+  double lockstep_comm = 0;
+  /// The slowest rank's counters priced by the α–β model
+  /// (CostModel::comm_seconds); lockstep_comm must reconcile with it.
+  double counter_comm = 0;
   [[nodiscard]] double total() const { return comm + comp + plan + other + reorder; }
+  /// total() with every message waited for in full (lockstep_comm).
+  [[nodiscard]] double lockstep_total() const {
+    return lockstep_comm + comp + plan + other + reorder;
+  }
   /// Fraction of modeled comm time hidden behind compute.
   [[nodiscard]] double overlap_efficiency() const {
     const double t = comm + overlap;
@@ -52,7 +63,7 @@ struct Breakdown {
 /// therefore the *waited* modeled time of all traffic, collective and RDMA
 /// alike — the seed mispriced collective waiting into `other`, which
 /// reported comm = 0 for the ring/2D/3D backends at small scale.
-inline Breakdown modeled(const RunReport& rep, const CostModel& /*cm*/,
+inline Breakdown modeled(const RunReport& rep, const CostModel& cm,
                          int threads_per_rank = 1) {
   Breakdown b;
   for (const auto& r : rep.ranks) {
@@ -62,6 +73,8 @@ inline Breakdown modeled(const RunReport& rep, const CostModel& /*cm*/,
     b.reorder = std::max(b.reorder, r.reorder_s);
     b.comm = std::max(b.comm, r.comm_s);
     b.overlap = std::max(b.overlap, r.overlap_s);
+    b.lockstep_comm = std::max(b.lockstep_comm, r.comm_s + r.overlap_s);
+    b.counter_comm = std::max(b.counter_comm, cm.comm_seconds(r));
   }
   return b;
 }

@@ -65,7 +65,12 @@ int json_nranks() {
   return 16;
 }
 
-double phase_sum(const RankReport& r) { return r.comp_s + r.plan_s + r.other_s + r.comm_s; }
+/// Modeled network seconds with nothing hidden: waited plus hidden comm.
+/// At serving sizes there is too little compute to hide latency behind, so
+/// the hidden share would only blur the alpha comparison.
+double net_sum(const RankReport& r) { return r.comm_s + r.overlap_s; }
+
+double phase_sum(const RankReport& r) { return r.comp_s + r.plan_s + r.other_s + net_sum(r); }
 
 struct ThroughputPoint {
   int batch = 1;
@@ -86,7 +91,8 @@ struct ThroughputPoint {
 
 /// One (backend, batch size) measurement: warm both caches, then serve the
 /// same hot trace sequentially and batched, taking per-rank modeled-time
-/// deltas around each section and bit-comparing every result pair.
+/// deltas around each section (comm counted in full, net_sum) and
+/// bit-comparing every result pair.
 ThroughputPoint measure_point(Machine& m, const std::vector<CscMatrix<double>>& tenants,
                               Algo algo, int batch, int batches) {
   const int P = m.nranks();
@@ -102,9 +108,6 @@ ThroughputPoint measure_point(Machine& m, const std::vector<CscMatrix<double>>& 
   m.run([&](Comm& c) {
     DistSpgemmOptions opt;
     opt.algo = algo;
-    // Lockstep replay: at serving sizes there is too little compute to hide
-    // latency behind, so overlap would only blur the alpha comparison.
-    opt.overlap = false;
     opt.expected_batch = batch;  // fusion-aware Auto pricing
     if (algo == Algo::Split3D) opt.layers = distdetail::default_split3d_layers(c.size());
     PlanCache<double> seq_cache, bat_cache;
@@ -140,11 +143,11 @@ ThroughputPoint measure_point(Machine& m, const std::vector<CscMatrix<double>>& 
       seq_res.clear();
       seq_res.reserve(ops.size());
       const double t0 = phase_sum(c.report());
-      const double c0 = c.report().comm_s;
+      const double c0 = net_sum(c.report());
       for (const auto& op : ops)
         seq_res.push_back(spgemm_dist_cached_mt(c, seq_cache, op, op, opt));
       const double t1 = phase_sum(c.report());
-      const double c1 = c.report().comm_s;
+      const double c1 = net_sum(c.report());
 
       bat_res.clear();
       bat_res.reserve(ops.size());
@@ -158,7 +161,7 @@ ThroughputPoint measure_point(Machine& m, const std::vector<CscMatrix<double>>& 
         for (auto& g : got) bat_res.push_back(std::move(g));
       }
       const double t2 = phase_sum(c.report());
-      const double c2 = c.report().comm_s;
+      const double c2 = net_sum(c.report());
       if (t1 - t0 < seq_d[me]) {
         seq_d[me] = t1 - t0;
         seq_cd[me] = c1 - c0;
@@ -204,7 +207,6 @@ HotColdStats measure_hot_cold(Machine& m, const std::vector<CscMatrix<double>>& 
   out.rep = m.run([&](Comm& c) {
     DistSpgemmOptions opt;
     opt.algo = Algo::Summa2D;
-    opt.overlap = true;
     opt.expected_batch = 8;
     PlanCache<double> cache;
     std::vector<DistMatrix1D<double>> warm;

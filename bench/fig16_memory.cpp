@@ -1,8 +1,8 @@
 // Fig 16 (memory extension): memory-bounded execution. Each backend is run
 // once unbudgeted to anchor its measured peak-triples high-water mark, then
 // swept under peak budgets of {0.75, 0.5, 0.25}× that anchor — the planner
-// resolves a column-panel count (plus windowed ring hops / bounded stage
-// lookahead) per cell, and the bench records whether the budget was feasible,
+// resolves a column-panel count (plus windowed ring hops / a bounded stage
+// window) per cell, and the bench records whether the budget was feasible,
 // the measured peak, the panel count, the measured slowdown, and an in-bench
 // bit-identity check against the unbudgeted result. A final Auto cell sets
 // the budget to 0.65× the smallest backend anchor: the monolithic plan is

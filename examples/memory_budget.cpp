@@ -2,8 +2,8 @@
 // ways on a simulated 4-rank machine —
 //   1. unbudgeted, to see the natural peak-triples high-water mark;
 //   2. under a peak budget of half that, backend pinned: the planner
-//      resolves a column-panel count (plus windowed ring hops / bounded
-//      stage lookahead) that fits, and the result stays bit-identical;
+//      resolves a column-panel count (plus windowed ring hops / a bounded
+//      stage window) that fits, and the result stays bit-identical;
 //   3. the same budget with Algo::Auto: every monolithic plan is modeled
 //      infeasible, and Auto crosses the cliff by picking a feasible
 //      budgeted (backend × panelization) plan instead of failing.
@@ -42,8 +42,8 @@ int main() {
   std::printf("unbudgeted summa2d: peak %llu triples (%d panel)\n",
               static_cast<unsigned long long>(peak0), st0.panels);
 
-  // 2. Half the anchor, backend pinned: panels + streaming merges + bounded
-  //    lookahead keep every rank under budget, bit-identically.
+  // 2. Half the anchor, backend pinned: panels + streaming merges + a
+  //    bounded stage window keep every rank under budget, bit-identically.
   const std::uint64_t budget = peak0 / 2 + 1;
   CscMatrix<double> got;
   DistSpgemmStats st1;

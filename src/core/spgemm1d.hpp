@@ -55,14 +55,11 @@ struct Spgemm1dOptions {
   bool sparsity_aware = true;
   /// Extension to Algorithm 2: merge adjacent chosen blocks into one message.
   bool merge_adjacent_blocks = false;
-  /// Overlapped execution: the executor posts the value fetch of block
-  /// g+1 (and beyond, up to `prefetch_inflight`) nonblocking while the
-  /// scatter of block g runs, hiding RDMA time behind the compaction
-  /// copies and the B̃ gather. Off = the seed's lockstep fetch loop; the
-  /// written Ã values are bit-identical either way.
-  bool overlap = true;
-  /// Bounded prefetch depth: max in-flight value gets (≥ 1; each holds one
-  /// staging buffer). Ignored when `overlap` is false.
+  /// Bounded prefetch depth of the executor's value fetches: it keeps up to
+  /// this many gets in flight (values < 1 mean 1; each holds one staging
+  /// buffer) while the scatter of earlier blocks and the B̃ gather run,
+  /// hiding RDMA time behind the compaction copies. The written Ã values
+  /// are bit-identical at every depth.
   int prefetch_inflight = 4;
 
   /// Every field influences the cached plan, so plan-reusing callers
@@ -452,63 +449,42 @@ class SpgemmPlan1D {
       for (const auto& s : local_copies_)
         std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
     }
+    // Prefetch pipeline: keep up to `prefetch_inflight` value gets in
+    // flight, each with its own staging buffer; the scatter of block g (and
+    // the B̃ gather below) runs while blocks g+1.. travel. A slot is reused
+    // only after its block has been drained, bounding memory.
     index_t exec_gets = 0;
     const std::size_t nf = fetches_.size();
-    if (opt_.overlap && opt_.prefetch_inflight > 0 && nf > 0) {
-      // Prefetch pipeline: keep up to `prefetch_inflight` value gets in
-      // flight, each with its own staging buffer; the scatter of block g
-      // (and the B̃ gather below) runs while blocks g+1.. travel. A slot is
-      // reused only after its block has been drained, bounding memory.
-      const std::size_t depth = std::min(static_cast<std::size_t>(opt_.prefetch_inflight), nf);
-      if (prefetch_bufs_.size() < depth) prefetch_bufs_.resize(depth);
-      std::vector<std::optional<CommRequest>> ring(depth);
-      auto issue = [&](std::size_t i) {
-        const auto& f = fetches_[i];
-        auto& buf = prefetch_bufs_[i % depth];
-        buf.resize(static_cast<std::size_t>(f.len));
-        ring[i % depth].emplace(comm.iget(win_val, f.owner, f.elo, f.len, buf.data()));
-      };
-      for (std::size_t i = 0; i < depth; ++i) issue(i);
-      // The B̃ gather is independent of Ã's fetched values, so it runs
-      // inside the in-flight window (same bytes written as the lockstep
-      // path, just earlier).
+    const std::size_t depth =
+        std::min(static_cast<std::size_t>(std::max(opt_.prefetch_inflight, 1)), nf);
+    if (prefetch_bufs_.size() < depth) prefetch_bufs_.resize(depth);
+    std::vector<CommRequest> ring(depth);
+    auto issue = [&](std::size_t i) {
+      const auto& f = fetches_[i];
+      auto& buf = prefetch_bufs_[i % depth];
+      buf.resize(static_cast<std::size_t>(f.len));
+      ring[i % depth] = comm.iget(win_val, f.owner, f.elo, f.len, buf.data());
+    };
+    for (std::size_t i = 0; i < depth; ++i) issue(i);
+    // B̃ values through the cached gather map: independent of Ã's fetched
+    // values, so the gather runs inside the in-flight window.
+    {
+      auto ph = comm.phase(Phase::Other);
+      VT* btv = btilde_m_.mutable_vals().data();
+      const VT* bv = b.local().vals().data();
+      for (std::size_t i = 0; i < bt_src_.size(); ++i)
+        btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
+    }
+    for (std::size_t i = 0; i < nf; ++i) {
+      ring[i % depth].wait();
+      ++exec_gets;
       {
         auto ph = comm.phase(Phase::Other);
-        VT* btv = btilde_m_.mutable_vals().data();
-        const VT* bv = b.local().vals().data();
-        for (std::size_t i = 0; i < bt_src_.size(); ++i)
-          btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
+        const VT* src = prefetch_bufs_[i % depth].data();
+        for (const auto& s : fetches_[i].spans)
+          std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
       }
-      for (std::size_t i = 0; i < nf; ++i) {
-        ring[i % depth]->wait();
-        ring[i % depth].reset();
-        ++exec_gets;
-        {
-          auto ph = comm.phase(Phase::Other);
-          const VT* src = prefetch_bufs_[i % depth].data();
-          for (const auto& s : fetches_[i].spans)
-            std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-        }
-        if (i + depth < nf) issue(i + depth);
-      }
-    } else {
-      for (const auto& f : fetches_) {
-        fetch_buf_.resize(static_cast<std::size_t>(f.len));
-        comm.get(win_val, f.owner, f.elo, f.len, fetch_buf_.data());
-        ++exec_gets;
-        auto ph = comm.phase(Phase::Other);
-        for (const auto& s : f.spans)
-          std::copy_n(fetch_buf_.data() + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-      }
-      // B̃ values through the cached gather map, then the numeric multiply
-      // against the cached symbolic result.
-      {
-        auto ph = comm.phase(Phase::Other);
-        VT* btv = btilde_m_.mutable_vals().data();
-        const VT* bv = b.local().vals().data();
-        for (std::size_t i = 0; i < bt_src_.size(); ++i)
-          btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
-      }
+      if (i + depth < nf) issue(i + depth);
     }
     CscMatrix<VT> c_local;
     {
@@ -656,25 +632,24 @@ class SpgemmPlan1D {
     for (std::size_t m = 0; m < k; ++m) {
       const auto& p = *ops[m].plan;
       for (std::size_t i = 0; i < p.fetches_.size(); ++i) flat.push_back({m, i});
-      if (p.opt_.overlap && p.opt_.prefetch_inflight > 0)
+      if (p.opt_.prefetch_inflight > 0)
         depth = std::max(depth, static_cast<std::size_t>(p.opt_.prefetch_inflight));
     }
     const std::size_t nf = flat.size();
     if (nf > 0) {
       depth = std::min(depth, nf);
       std::vector<std::vector<VT>> bufs(depth);
-      std::vector<std::optional<CommRequest>> ring(depth);
+      std::vector<CommRequest> ring(depth);
       auto issue = [&](std::size_t x) {
         const auto& p = *ops[flat[x].m].plan;
         const auto& f = p.fetches_[flat[x].i];
         auto& buf = bufs[x % depth];
         buf.resize(static_cast<std::size_t>(f.len));
-        ring[x % depth].emplace(comm.iget(wins[flat[x].m], f.owner, f.elo, f.len, buf.data()));
+        ring[x % depth] = comm.iget(wins[flat[x].m], f.owner, f.elo, f.len, buf.data());
       };
       for (std::size_t x = 0; x < depth; ++x) issue(x);
       for (std::size_t x = 0; x < nf; ++x) {
-        ring[x % depth]->wait();
-        ring[x % depth].reset();
+        ring[x % depth].wait();
         {
           auto ph = comm.phase(Phase::Other);
           auto& p = *ops[flat[x].m].plan;
@@ -766,7 +741,6 @@ class SpgemmPlan1D {
   Spgemm1dInfo plan_info_{};
   index_t plan_rdma_calls_ = 0;
   int executions_ = 0;
-  std::vector<VT> fetch_buf_;
   std::vector<std::vector<VT>> prefetch_bufs_;  ///< one staging buffer per in-flight get
 };
 

@@ -19,7 +19,7 @@
 // state, so the collective sequence is identical machine-wide. Members are
 // grouped by fuse key (backend + grid shape + layer count); a plan may
 // appear at most once per group (members of the same tenant share scratch),
-// and windowed ring plans always replay solo (their lockstep fallback path
+// and windowed ring plans always replay solo (their windowed fallback path
 // does not fuse). A recoverable fault (CorruptionDetected / PlanMismatch)
 // during the batch unwinds every rank identically; the batch-level retry
 // drops the touched entries, recovers collectively, and re-runs the whole
@@ -58,7 +58,7 @@ struct Member {
 /// instead of k·(P-1). Each member's multiply/fold body is the sequential
 /// replay's, with its own flat counter, so each result is bit-identical.
 template <typename SR, typename VT>
-void fused_ring_replay(Comm& comm, std::vector<Member<VT, SR>>& ms, bool overlap,
+void fused_ring_replay(Comm& comm, std::vector<Member<VT, SR>>& ms,
                        std::vector<DistMatrix1D<VT>>& results) {
   const int P = comm.size();
   const int me = comm.rank();
@@ -104,7 +104,7 @@ void fused_ring_replay(Comm& comm, std::vector<Member<VT, SR>>& ms, bool overlap
     // fused hop first, multiply from the request's stable view.
     std::optional<AlltoallvRequest<VT>> shift;
     std::vector<std::span<const VT>> views(k);
-    if (overlap && step + 1 < P) {
+    if (step + 1 < P) {
       std::vector<std::size_t> lens(k);
       for (std::size_t m = 0; m < k; ++m) lens[m] = circ[m].size();
       std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
@@ -162,27 +162,10 @@ void fused_ring_replay(Comm& comm, std::vector<Member<VT, SR>>& ms, bool overlap
       }
     }
 
-    if (step + 1 < P) {
-      if (shift.has_value()) {
-        auto chunk = shift->take_from(pred);
-        shift->wait();
-        split_chunk(chunk, step + 1);
-      } else {
-        std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          auto& chunk = send[static_cast<std::size_t>(succ)];
-          std::size_t total = 0;
-          for (const auto& c : circ) total += c.size();
-          chunk.reserve(total);
-          for (std::size_t m = 0; m < k; ++m) {
-            chunk.insert(chunk.end(), circ[m].begin(), circ[m].end());
-            circ[m].clear();
-          }
-        }
-        auto recv = comm.alltoallv(send);
-        split_chunk(recv[static_cast<std::size_t>(pred)], step + 1);
-      }
+    if (shift.has_value()) {
+      auto chunk = shift->take_from(pred);
+      shift->wait();
+      split_chunk(chunk, step + 1);
     }
   }
 
@@ -219,7 +202,7 @@ struct GridView {
 /// each route's cached block with per-member-per-route flat counters — the
 /// exact flat order each sequential replay_1d_to_2d_grid produces.
 template <typename SR, typename VT>
-void fused_grid_routes(Comm& comm, std::vector<GridView<VT, SR>>& gs, bool overlap) {
+void fused_grid_routes(Comm& comm, std::vector<GridView<VT, SR>>& gs) {
   const int P = comm.size();
   const std::size_t k = gs.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
@@ -279,13 +262,8 @@ void fused_grid_routes(Comm& comm, std::vector<GridView<VT, SR>>& gs, bool overl
                     " carries " + std::to_string(chunk.size()) +
                     " values where the cached routes expect " + std::to_string(off));
   };
-  if (overlap) {
-    auto req = comm.ialltoallv(std::move(send));
-    for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p));
-  } else {
-    auto recv = comm.alltoallv(send);
-    for (int p = 0; p < P; ++p) scatter_chunk(p, recv[static_cast<std::size_t>(p)]);
-  }
+  auto req = comm.ialltoallv(std::move(send));
+  for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p));
 }
 
 /// The fused stage loop over one shared q_r × q_c grid: per stage, ONE row
@@ -293,9 +271,10 @@ void fused_grid_routes(Comm& comm, std::vector<GridView<VT, SR>>& gs, bool overl
 /// concatenation of every member's block values (every member shares the
 /// stage's roots, since they share the grid). Per-member stage bodies —
 /// shell fill, numeric pass, ⊕-fold — run in member order with per-member
-/// flat counters, mirroring summa_stages_replay exactly.
+/// flat counters, mirroring summa_stages_replay exactly, through the same
+/// windowed stage pipeline (and staging gauge) as every other SUMMA loop.
 template <typename SR, typename VT>
-void fused_summa_stages(Comm& grid_comm, std::vector<GridView<VT, SR>>& gs, bool overlap) {
+void fused_summa_stages(Comm& grid_comm, std::vector<GridView<VT, SR>>& gs, bool budgeted) {
   const std::size_t k = gs.size();
   auto& sched0 = *gs[0].sched;
   const int s = static_cast<int>(sched0.stages.size());
@@ -371,43 +350,13 @@ void fused_summa_stages(Comm& grid_comm, std::vector<GridView<VT, SR>>& gs, bool
         }
       }
     }
+    // The stage staging pipeline_stages charged dies with the fused payload.
+    const std::uint64_t payload = aall.size() + ball.size();
+    grid_comm.report().mem_release(payload, payload * sizeof(VT));
   };
 
-  if (!overlap) {
-    for (int st = 0; st < s; ++st) {
-      std::vector<VT> aall, ball;
-      {
-        auto ph = grid_comm.phase(Phase::Other);
-        extract(st, aall, ball);
-      }
-      row_comm.bcast(aall, st / spc);
-      col_comm.bcast(ball, st / spr);
-      run_stage(st, std::move(aall), std::move(ball));
-    }
-  } else {
-    // Full-lookahead fused broadcasts: all stage payloads posted up front
-    // in the lockstep issue order, drained ascending.
-    std::vector<std::vector<VT>> aalls(static_cast<std::size_t>(s));
-    std::vector<std::vector<VT>> balls(static_cast<std::size_t>(s));
-    {
-      auto ph = grid_comm.phase(Phase::Other);
-      for (int st = 0; st < s; ++st)
-        extract(st, aalls[static_cast<std::size_t>(st)], balls[static_cast<std::size_t>(st)]);
-    }
-    std::vector<CommRequest> areq, breq;
-    areq.reserve(static_cast<std::size_t>(s));
-    breq.reserve(static_cast<std::size_t>(s));
-    for (int st = 0; st < s; ++st) {
-      areq.push_back(row_comm.ibcast(aalls[static_cast<std::size_t>(st)], st / spc));
-      breq.push_back(col_comm.ibcast(balls[static_cast<std::size_t>(st)], st / spr));
-    }
-    for (int st = 0; st < s; ++st) {
-      const auto sk = static_cast<std::size_t>(st);
-      areq[sk].wait();
-      breq[sk].wait();
-      run_stage(st, std::move(aalls[sk]), std::move(balls[sk]));
-    }
-  }
+  summadetail::pipeline_stages<VT>(grid_comm, row_comm, col_comm, s, spc, spr, budgeted,
+                                   extract, run_stage);
 }
 
 /// Replays every member's outbound scatter/merge in ONE fused alltoallv
@@ -475,18 +424,19 @@ void fused_scatter_out(Comm& comm, std::vector<GridView<VT, SR>>& gs,
 
 /// Full fused replay of one grid-family group (same backend, same grid,
 /// same layer count): fused routes in, fused stage broadcasts (over the
-/// layer communicator for Split-3D), fused scatter out.
+/// layer communicator for Split-3D), fused scatter out. `budgeted` bounds
+/// the stage window like the sequential replay's.
 template <typename SR, typename VT>
 void fused_grid_replay(Comm& comm, std::vector<GridView<VT, SR>>& gs, int layers,
-                       bool overlap, std::vector<DistMatrix1D<VT>>& results) {
-  fused_grid_routes<SR>(comm, gs, overlap);
+                       bool budgeted, std::vector<DistMatrix1D<VT>>& results) {
+  fused_grid_routes<SR>(comm, gs);
   if (layers <= 1) {
-    fused_summa_stages<SR>(comm, gs, overlap);
+    fused_summa_stages<SR>(comm, gs, budgeted);
   } else {
     const int q2 = comm.size() / layers;
     const int layer = comm.rank() / q2;
     Comm layer_comm = comm.split(layer, comm.rank());
-    fused_summa_stages<SR>(layer_comm, gs, overlap);
+    fused_summa_stages<SR>(layer_comm, gs, budgeted);
   }
   fused_scatter_out<SR>(comm, gs, results);
 }
@@ -524,14 +474,7 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
     std::string verdict;
     {
       auto ph = comm.phase(Phase::Other);
-      digest = std::to_string(static_cast<int>(opt.algo)) + "," + std::to_string(opt.layers) +
-               "," + std::to_string(opt.grid_rows) + "," + std::to_string(opt.grid_cols) +
-               "," + std::to_string(opt.expected_iterations) + "," +
-               std::to_string(opt.expected_batch) + "," +
-               std::to_string(opt.max_recovery_retries) + "," +
-               std::to_string(static_cast<int>(opt.overlap)) + "," +
-               std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) +
-               "," + std::to_string(opt.ring_window);
+      digest = distdetail::options_digest(opt);
       for (std::size_t i = 0; i < n; ++i) {
         digest += "|" + std::to_string(items[i].first->nrows()) + "x" +
                   std::to_string(items[i].first->ncols()) + "," +
@@ -712,6 +655,7 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
 
       // (5) Execute the groups in first-occurrence order. Singletons run
       // the sequential verified replay; larger groups run the fused one.
+      std::vector<std::size_t> fused;
       for (auto& g : groups) {
         if (g.ms.size() == 1) {
           const auto& m = g.ms[0];
@@ -720,7 +664,7 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
         } else {
           const Algo algo = g.ms[0].entry->plan->chosen();
           if (algo == Algo::Ring1D) {
-            batchdetail::fused_ring_replay<SR>(comm, g.ms, opt.overlap, results);
+            batchdetail::fused_ring_replay<SR>(comm, g.ms, results);
           } else if (algo == Algo::SparseAware1D) {
             using Plan1D = SpgemmPlan1D<VT, SR>;
             std::vector<typename Plan1D::FusedArg> args;
@@ -748,12 +692,14 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
                               &p3.acc_vals, m.a, m.b});
               }
             }
-            batchdetail::fused_grid_replay<SR>(comm, gv, layers, opt.overlap, results);
+            batchdetail::fused_grid_replay<SR>(comm, gv, layers, opt.max_peak_triples > 0,
+                                               results);
           }
           // Reuse + minimal stats bookkeeping for the fused members (the
           // fused paths bypass execute_verified's counters).
           for (auto& m : g.ms) {
             m.entry->plan->record_batched_replay(comm);
+            fused.push_back(m.idx);
             if (stats != nullptr) {
               auto& st = (*stats)[m.idx];
               st.requested = opt.algo;
@@ -766,6 +712,14 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
         for (auto& m : g.ms) {
           cache.record_hit(comm, m.entry->plan->chosen());
           if (stats != nullptr) (*stats)[m.idx].cache_hits = 1;
+        }
+      }
+      // Fused members share one footprint, so each carries the whole
+      // batch's peak, read once every group has run.
+      if (stats != nullptr) {
+        for (auto i : fused) {
+          (*stats)[i].peak_triples = comm.report().peak_triples;
+          (*stats)[i].peak_bytes = comm.report().peak_bytes;
         }
       }
 

@@ -279,7 +279,6 @@ class DistSpgemmPlan {
       inputs_ = gather_algo_cost_inputs(comm, a, b, opt.sa1d, &meta);
       inputs_.grid_rows = opt.grid_rows;
       inputs_.grid_cols = opt.grid_cols;
-      inputs_.overlap = opt.overlap;
       inputs_.max_peak_triples = opt.max_peak_triples;
       inputs_.panels = opt.panels;
       // Serving workloads declare the fusion width they expect: replays are
@@ -355,14 +354,10 @@ class DistSpgemmPlan {
     last_reorder_bytes_ =
         comm.report().coll_bytes_received() - before_reorder.coll_bytes_received();
 
-    // The SA-1D prefetch rides the master switch: both must be on.
-    Spgemm1dOptions sa = opt.sa1d;
-    sa.overlap = opt.sa1d.overlap && opt.overlap;
-
-    // Budgeted builds bound the overlap staging and capture the ring plan
+    // Budgeted builds bound the SUMMA stage window and capture the ring plan
     // with a bounded hop window (first-class windowed execution: replays
     // stream post-window hops, recomputing per-hop metadata).
-    const int lookahead = opt.max_peak_triples > 0 ? 2 : 0;
+    const bool budgeted = opt.max_peak_triples > 0;
     const int ring_window =
         opt.ring_window > 0 ? opt.ring_window
                             : (opt.max_peak_triples > 0 ? std::min(2, comm.size() - 1) : 0);
@@ -374,20 +369,19 @@ class DistSpgemmPlan {
         case Algo::SparseAware1D:
           // Auto hands its gathered AMeta to the inspector: exactly one
           // metadata allgather for the whole dispatch.
-          sa1d_ = have_meta ? SpgemmPlan1D<VT, SR>(comm, *ra, *rb, sa, std::move(meta))
-                            : SpgemmPlan1D<VT, SR>(comm, *ra, *rb, sa);
+          sa1d_ = have_meta ? SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d, std::move(meta))
+                            : SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d);
           return sa1d_.execute_verified(comm, *ra, *rb);
         case Algo::Ring1D:
-          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_, opt.overlap, ring_window);
+          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_, ring_window);
         case Algo::Summa2D:
           return spgemm_summa_2d_dist<SR>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          &summa_, opt.grid_rows, opt.grid_cols, opt.overlap,
-                                          lookahead);
+                                          &summa_, opt.grid_rows, opt.grid_cols, budgeted);
         case Algo::Split3D:
           require_split3d_layers(comm.size(), lyr, "DistSpgemmPlan(Algo::Split3D)");
           return spgemm_split_3d_dist<SR>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
                                           opt.sa1d.threads, &split3d_, opt.grid_rows,
-                                          opt.grid_cols, opt.overlap, lookahead);
+                                          opt.grid_cols, budgeted);
       }
       require(false, "DistSpgemmPlan::build: unknown algorithm");
       return {};
@@ -585,7 +579,7 @@ class DistSpgemmPlan {
       rb = pb_aliases_pa_ ? &pa_ : &pb_;
     }
     DistMatrix1D<VT> c;
-    const int lookahead = opt_.max_peak_triples > 0 ? 2 : 0;
+    const bool budgeted = opt_.max_peak_triples > 0;
     if (panels_ > 1) {
       // Panelized replay: recompute each panel's B restriction (values are
       // this call's — the restriction copies them) and replay its sub-plan
@@ -606,13 +600,13 @@ class DistSpgemmPlan {
           c = sa1d_.execute_verified(comm, *ra, *rb);
           break;
         case Algo::Ring1D:
-          c = spgemm_naive_ring_1d_replay<SR>(comm, ring_, *ra, *rb, opt_.overlap);
+          c = spgemm_naive_ring_1d_replay<SR>(comm, ring_, *ra, *rb);
           break;
         case Algo::Summa2D:
-          c = spgemm_summa_2d_replay<SR>(comm, summa_, *ra, *rb, opt_.overlap, lookahead);
+          c = spgemm_summa_2d_replay<SR>(comm, summa_, *ra, *rb, budgeted);
           break;
         case Algo::Split3D:
-          c = spgemm_split_3d_replay<SR>(comm, split3d_, *ra, *rb, opt_.overlap, lookahead);
+          c = spgemm_split_3d_replay<SR>(comm, split3d_, *ra, *rb, budgeted);
           break;
       }
     }

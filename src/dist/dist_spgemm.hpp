@@ -65,12 +65,6 @@ struct DistSpgemmOptions {
   /// invalidate the plan and rebuild after a recoverable fault
   /// (CorruptionDetected / PlanMismatch) before the error propagates.
   int max_recovery_retries = 2;
-  /// Master switch for overlapped (nonblocking) execution: double-buffered
-  /// SUMMA stage broadcasts, pipelined redistribution/fold all-to-alls, the
-  /// ring's early hop shift, and the SA-1D value-get prefetch (gated
-  /// together with sa1d.overlap). Off = the seed's lockstep collectives;
-  /// results are bit-identical either way.
-  bool overlap = true;
   /// Ordering policy (the reorder plan stage, DESIGN.md §12): Identity runs
   /// in the caller's ordering; Partitioned/Random force a symmetric
   /// relabeling of both operands (the multiply runs as P·A·Pᵀ · P·B·Pᵀ and
@@ -87,7 +81,7 @@ struct DistSpgemmOptions {
   /// §13): the per-rank high-water RankReport::peak_triples gauge of one
   /// call must stay under this. 0 = unbounded (the pre-budget behavior).
   /// A positive budget switches every backend to its bounded variant
-  /// (streaming rounds-merges, bounded overlap lookahead, windowed ring
+  /// (streaming rounds-merges, a bounded SUMMA stage window, windowed ring
   /// capture) and makes the dispatch resolve a column panelization whose
   /// modeled peak fits — or raise a rank-uniform ValidationError when none
   /// does. Part of the collective options digest: divergent budgets across
@@ -166,7 +160,7 @@ struct DistSpgemmStats {
   double comm_wait_s = 0.0;    ///< RankReport::comm_s delta
   double comm_hidden_s = 0.0;  ///< RankReport::overlap_s delta
   /// Fraction of modeled comm time hidden behind compute; 0 when nothing
-  /// was hidden (including every lockstep run).
+  /// was hidden.
   [[nodiscard]] double overlap_efficiency() const {
     const double tot = comm_wait_s + comm_hidden_s;
     return tot > 0.0 ? comm_hidden_s / tot : 0.0;
@@ -493,6 +487,26 @@ std::string local_validation_error(int P, Algo algo, const DistMatrix1D<VT>& a,
   return {};
 }
 
+/// Digest of every option the dispatch branches on: the key validate_collective
+/// and spgemm_dist_batched vote on through the uncounted control exchange, so
+/// ranks that disagree on any of them fail validation before a data
+/// collective.
+inline std::string options_digest(const DistSpgemmOptions& opt) {
+  return std::to_string(static_cast<int>(opt.algo)) + "," + std::to_string(opt.layers) + "," +
+         std::to_string(opt.grid_rows) + "," + std::to_string(opt.grid_cols) + "," +
+         std::to_string(opt.expected_iterations) + "," + std::to_string(opt.expected_batch) +
+         "," + std::to_string(opt.max_recovery_retries) + "," +
+         std::to_string(opt.sa1d.block_fetch_k) + "," +
+         std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
+         std::to_string(opt.sa1d.threads) + "," +
+         std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
+         std::to_string(static_cast<int>(opt.sa1d.merge_adjacent_blocks)) + "," +
+         std::to_string(opt.sa1d.prefetch_inflight) + "," +
+         std::to_string(static_cast<int>(opt.reorder)) + "," + std::to_string(opt.reorder_seed) +
+         "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +
+         std::to_string(opt.ring_window);
+}
+
 /// Rank-consistent input validation (collective): every rank publishes its
 /// local verdict plus a digest of everything the dispatch branches on
 /// through the *uncounted* control exchange (Comm::exchange_control — no
@@ -507,24 +521,8 @@ void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix
   std::string digest;
   {
     auto ph = comm.phase(Phase::Other);
-    digest = std::to_string(static_cast<int>(opt.algo)) + "," +
-             std::to_string(opt.layers) + "," + std::to_string(opt.grid_rows) + "," +
-             std::to_string(opt.grid_cols) + "," + std::to_string(opt.expected_iterations) +
-             "," + std::to_string(opt.expected_batch) + "," +
-             std::to_string(opt.max_recovery_retries) + "," +
-             std::to_string(opt.sa1d.block_fetch_k) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
-             std::to_string(opt.sa1d.threads) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.merge_adjacent_blocks)) + "," +
-             std::to_string(static_cast<int>(opt.overlap)) + "," +
-             std::to_string(static_cast<int>(opt.sa1d.overlap)) + "," +
-             std::to_string(opt.sa1d.prefetch_inflight) + "," +
-             std::to_string(static_cast<int>(opt.reorder)) + "," +
-             std::to_string(opt.reorder_seed) + "," +
-             std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +
-             std::to_string(opt.ring_window) + "|" +
-             std::to_string(a.nrows()) + "x" + std::to_string(a.ncols()) + "," +
+    digest = options_digest(opt) + "|" + std::to_string(a.nrows()) + "x" +
+             std::to_string(a.ncols()) + "," +
              std::to_string(b.nrows()) + "x" + std::to_string(b.ncols());
   }
   const std::string verdict =
@@ -608,7 +606,6 @@ DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMa
     st.inputs = gather_algo_cost_inputs(comm, a, b, opt.sa1d);
     st.inputs.grid_rows = opt.grid_rows;
     st.inputs.grid_cols = opt.grid_cols;
-    st.inputs.overlap = opt.overlap;
     st.inputs.max_peak_triples = opt.max_peak_triples;
     st.inputs.panels = opt.panels;
   }
@@ -643,10 +640,6 @@ DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMa
   }
   st.ordering = ordering;
 
-  // The SA-1D prefetch rides the master switch: both must be on.
-  Spgemm1dOptions sa = opt.sa1d;
-  sa.overlap = opt.sa1d.overlap && opt.overlap;
-
   // Non-identity orderings run the multiply in permuted coordinates — both
   // operands symmetrically relabeled onto the partition layout (or the
   // original bounds for Random) — then scatter C back below.
@@ -675,29 +668,25 @@ DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMa
   st.reorder_coll_bytes =
       comm.report().coll_bytes_received() - before_reorder.coll_bytes_received();
 
-  // Budgeted runs bound the overlap pipeline's staging: at most 2 stage
-  // broadcasts posted beyond the one in flight (the comm-op sequence is
-  // identical for every lookahead, so fault-plan coordinates are stable).
-  const int lookahead = opt.max_peak_triples > 0 ? 2 : 0;
+  const bool budgeted = opt.max_peak_triples > 0;
   auto dispatch = [&](Algo which, int lyr) -> DistMatrix1D<VT> {
     st.chosen = which;
     st.layers = which == Algo::Split3D ? lyr : 1;
     switch (which) {
       case Algo::Auto: break;  // unreachable: resolved above
       case Algo::SparseAware1D:
-        if (plan != nullptr) return spgemm_1d_cached(comm, *plan, *ra, *rb, sa);
-        return spgemm_1d<SRIn>(comm, *ra, *rb, sa);
+        if (plan != nullptr) return spgemm_1d_cached(comm, *plan, *ra, *rb, opt.sa1d);
+        return spgemm_1d<SRIn>(comm, *ra, *rb, opt.sa1d);
       case Algo::Ring1D:
-        return spgemm_naive_ring_1d<SRIn>(comm, *ra, *rb, nullptr, opt.overlap);
+        return spgemm_naive_ring_1d<SRIn>(comm, *ra, *rb);
       case Algo::Summa2D:
         return spgemm_summa_2d_dist<SRIn>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          nullptr, opt.grid_rows, opt.grid_cols, opt.overlap,
-                                          lookahead);
+                                          nullptr, opt.grid_rows, opt.grid_cols, budgeted);
       case Algo::Split3D:
         require_split3d_layers(comm.size(), lyr, "spgemm_dist(Algo::Split3D)");
         return spgemm_split_3d_dist<SRIn>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
                                           opt.sa1d.threads, nullptr, opt.grid_rows,
-                                          opt.grid_cols, opt.overlap, lookahead);
+                                          opt.grid_cols, budgeted);
     }
     require(false, "spgemm_dist: unknown algorithm");
     return {};

@@ -106,8 +106,10 @@ struct RingPlan {
 /// Ring 1D SpGEMM baseline. Collective. C inherits B's column distribution;
 /// products and partial merges run over the chosen semiring (the merge is
 /// deterministic — ties fold in push order — so a captured plan replays
-/// bit-exactly). `plan` (optional) captures the value-only replay program;
-/// `window` > 0 captures it *windowed from birth* — only the first `window`
+/// bit-exactly). Each hop shift is posted before the local multiply, which
+/// reads the request's stable view of the slice, so the slice travels while
+/// this rank multiplies. `plan` (optional) captures the value-only replay
+/// program; `window` > 0 captures it *windowed from birth* — only the first `window`
 /// hops keep their column structures (the bounded-hop-window execution mode
 /// a peak-triples budget selects; PR 8's demotion produced the same shape
 /// after the fact) — replays dispatch to ring_replay_windowed automatically.
@@ -115,7 +117,7 @@ template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_naive_ring_1d(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
     std::type_identity_t<RingPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
-    bool overlap = false, int window = 0) {
+    int window = 0) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_naive_ring_1d: inner dimension mismatch");
   const int P = comm.size();
@@ -145,14 +147,9 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
   const auto& bl = b.local();
   const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
   for (int step = 0; step < P; ++step) {
-    // Overlapped mode posts the hop shift *before* the local multiply and
-    // computes from the request's stable view of the shifted-away slice, so
-    // the slice travels while this rank multiplies. The shift is the same
-    // comm op either way (multiplies record none), so op indices and
-    // byte/message counters match the lockstep path exactly.
     std::optional<AlltoallvRequest<Triple<VT>>> shift;
     std::span<const Triple<VT>> cs(circ);
-    if (overlap && step + 1 < P) {
+    if (step + 1 < P) {
       std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
       {
         auto ph = comm.phase(Phase::Other);
@@ -217,21 +214,10 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
       const std::uint64_t after = acc.triples().size();
       rep.mem_release(2 * before - after, (2 * before - after) * tb);
     }
-    if (step + 1 < P) {
+    if (shift.has_value()) {
       const std::uint64_t outgoing = cs.size();
-      if (shift.has_value()) {
-        circ = shift->take_from(pred);
-        shift->wait();  // drain the (empty) remaining chunks so the op retires
-      } else {
-        // Shift the slice one hop around the ring.
-        std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          send[static_cast<std::size_t>(succ)] = std::move(circ);
-        }
-        auto recv = comm.alltoallv(send);
-        circ = std::move(recv[static_cast<std::size_t>(pred)]);
-      }
+      circ = shift->take_from(pred);
+      shift->wait();  // drain the (empty) remaining chunks so the op retires
       rep.mem_charge(circ.size(), circ.size() * tb);  // the arriving slice...
       rep.mem_release(outgoing, outgoing * tb);       // ...replaces the shifted-away one
     } else {
@@ -267,8 +253,8 @@ namespace ringdetail {
 /// fresh call ran over its triples — identical push order through the same
 /// acc_dst/acc_first fold program, so the result stays bit-identical. This is
 /// the memory-demoted fallback the plan cache uses instead of eviction; it
-/// exists to shed resident bytes, not to hide latency, so it is always
-/// lockstep (callers' overlap flag is ignored).
+/// exists to shed resident bytes, not to hide latency, so its hop shifts are
+/// blocking collectives.
 template <typename SR, typename VT>
 DistMatrix1D<VT> ring_replay_windowed(Comm& comm, RingPlan<VT, SR>& plan,
                                       const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b) {
@@ -400,8 +386,7 @@ DistMatrix1D<VT> ring_replay_windowed(Comm& comm, RingPlan<VT, SR>& plan,
 template <typename SR, typename VT>
 DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
                                              const DistMatrix1D<VT>& a,
-                                             const DistMatrix1D<VT>& b,
-                                             bool overlap = false) {
+                                             const DistMatrix1D<VT>& b) {
   if (plan.windowed()) return ringdetail::ring_replay_windowed<SR, VT>(comm, plan, a, b);
   const int P = comm.size();
   const int me = comm.rank();
@@ -418,11 +403,11 @@ DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
   const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
   std::size_t flat = 0;
   for (int step = 0; step < P; ++step) {
-    // Same overlapped-shift structure as the fresh call: post the hop, then
-    // multiply from the request's view of the outgoing value array.
+    // Same shift structure as the fresh call: post the hop, then multiply
+    // from the request's view of the outgoing value array.
     std::optional<AlltoallvRequest<VT>> shift;
     std::span<const VT> cv(circ_vals);
-    if (overlap && step + 1 < P) {
+    if (step + 1 < P) {
       std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
       {
         auto ph = comm.phase(Phase::Other);
@@ -461,20 +446,10 @@ DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
         }
       }
     }
-    if (step + 1 < P) {
+    if (shift.has_value()) {
       const std::uint64_t outgoing = cv.size();
-      if (shift.has_value()) {
-        circ_vals = shift->take_from(pred);
-        shift->wait();
-      } else {
-        std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          send[static_cast<std::size_t>(succ)] = std::move(circ_vals);
-        }
-        auto recv = comm.alltoallv(send);
-        circ_vals = std::move(recv[static_cast<std::size_t>(pred)]);
-      }
+      circ_vals = shift->take_from(pred);
+      shift->wait();
       rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
       rep.mem_release(outgoing, outgoing * sizeof(VT));
     } else {

@@ -117,8 +117,7 @@ template <typename VT, typename RankOf>
 CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
                                          std::span<const index_t> row_bounds,
                                          std::span<const index_t> col_bounds, RankOf rank_of,
-                                         int my_bi, int my_bj, GridRoute<VT>* route = nullptr,
-                                         bool overlap = false) {
+                                         int my_bi, int my_bj, GridRoute<VT>* route = nullptr) {
   const int P = comm.size();
   std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
   {
@@ -149,27 +148,17 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
   std::vector<std::vector<Triple<VT>>> recv(static_cast<std::size_t>(P));
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
-  if (overlap) {
-    // Pipelined receive: fold each source's chunk into the block as it
-    // arrives, in ascending rank order — the same flat order the blocking
-    // path consumes, so the block (and any captured route) is bit-identical;
-    // later chunks' modeled transfer time hides behind earlier chunks' push
-    // work.
-    auto req = comm.ialltoallv(std::move(send));
-    for (int p = 0; p < P; ++p) {
-      recv[static_cast<std::size_t>(p)] = req.take_from(p);
-      auto ph_push = comm.phase(Phase::Other);
-      rep.mem_charge(recv[static_cast<std::size_t>(p)].size(),
-                     recv[static_cast<std::size_t>(p)].size() * tb);  // block assembly
-      for (auto& t : recv[static_cast<std::size_t>(p)]) blk.push(t.row, t.col, t.val);
-    }
-  } else {
-    recv = comm.alltoallv(send);
+  // Pipelined receive: fold each source's chunk into the block as it
+  // arrives, in ascending rank order — the flat order the captured route
+  // indexes; later chunks' modeled transfer time hides behind earlier
+  // chunks' push work.
+  auto req = comm.ialltoallv(std::move(send));
+  for (int p = 0; p < P; ++p) {
+    auto& chunk = recv[static_cast<std::size_t>(p)];
+    chunk = req.take_from(p);
     auto ph_push = comm.phase(Phase::Other);
-    for (auto& chunk : recv) {
-      rep.mem_charge(chunk.size(), chunk.size() * tb);  // block assembly
-      for (auto& t : chunk) blk.push(t.row, t.col, t.val);
-    }
+    rep.mem_charge(chunk.size(), chunk.size() * tb);  // block assembly
+    for (auto& t : chunk) blk.push(t.row, t.col, t.val);
   }
   auto ph = comm.phase(Phase::Other);
   // The source was canonical and each nonzero has one target, so this only
@@ -207,7 +196,7 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
 /// Collective; returns the refreshed block (owned by the route).
 template <typename VT>
 CscMatrix<VT>& replay_1d_to_2d_grid(Comm& comm, GridRoute<VT>& route,
-                                    const DistMatrix1D<VT>& m, bool overlap = false) {
+                                    const DistMatrix1D<VT>& m) {
   const int P = comm.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
   {
@@ -242,19 +231,13 @@ CscMatrix<VT>& replay_1d_to_2d_grid(Comm& comm, GridRoute<VT>& route,
     VT* bv = route.block.mutable_vals().data();
     for (const auto& v : chunk) bv[static_cast<std::size_t>(route.recv_place[flat++])] = v;
   };
+  // Pipelined scatter: chunks land in the cached block as each source
+  // publishes, in ascending rank order (slots are disjoint, so order only
+  // matters for matching the captured flat indexing).
   std::size_t flat = 0;
-  if (overlap) {
-    // Pipelined scatter: chunks land in the cached block as each source
-    // publishes, in ascending rank order (slots are disjoint, so order only
-    // matters for matching the captured flat indexing).
-    auto req = comm.ialltoallv(std::move(send));
-    auto ph = comm.phase(Phase::Other);
-    for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p), flat);
-  } else {
-    auto recv = comm.alltoallv(send);
-    auto ph = comm.phase(Phase::Other);
-    for (int p = 0; p < P; ++p) scatter_chunk(p, recv[static_cast<std::size_t>(p)], flat);
-  }
+  auto req = comm.ialltoallv(std::move(send));
+  auto ph = comm.phase(Phase::Other);
+  for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p), flat);
   return route.block;
 }
 
@@ -303,8 +286,7 @@ struct ScatterRoute {
 template <typename SR, typename VT>
 DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, index_t nrows,
                                         index_t ncols, std::vector<index_t> out_bounds,
-                                        ScatterRoute<VT>* route = nullptr,
-                                        bool overlap = false) {
+                                        ScatterRoute<VT>* route = nullptr) {
   const int P = comm.size();
   require(out_bounds.size() == static_cast<std::size_t>(P) + 1,
           "redistribute_coo_to_1d: out_bounds size must be P+1");
@@ -336,9 +318,9 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
   // slice + one chunk + that round's merge scratch). The terminal merge
   // this replaces held every layer's/stage-owner's partials at once *plus*
   // an equally sized merge output buffer — ~2x the final partial-C slice on
-  // the split-3D cross-layer fold. Bit-identical either way, in both comm
-  // modes: the per-key fold is the left fold in flat (rank-major) arrival
-  // order regardless of where the round boundaries fall.
+  // the split-3D cross-layer fold. Bit-identical either way: the per-key
+  // fold is the left fold in flat (rank-major) arrival order regardless of
+  // where the round boundaries fall.
   auto fold_chunk = [&](int p, std::vector<Triple<VT>>& chunk) {
     counts[static_cast<std::size_t>(p)] = static_cast<index_t>(chunk.size());
     auto ph_push = comm.phase(Phase::Other);
@@ -351,30 +333,15 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
     const std::uint64_t after = local.triples().size();
     rep.mem_release(2 * before - after, (2 * before - after) * tb);
   };
-  if (overlap) {
-    // Pipelined fold: each chunk is pushed and merged as it arrives, in
-    // ascending rank order — the identical flat order the blocking path
-    // consumes; later chunks' modeled transfer time hides behind earlier
-    // chunks' fold work, and only one chunk is ever staged.
-    auto req = comm.ialltoallv(std::move(send));
-    for (int p = 0; p < P; ++p) {
-      auto chunk = req.take_from(p);
-      rep.mem_charge(chunk.size(), chunk.size() * tb);  // arrival staging
-      fold_chunk(p, chunk);
-      rep.mem_release(chunk.size(), chunk.size() * tb);
-    }
-  } else {
-    auto recv = comm.alltoallv(send);
-    std::uint64_t staged = 0;
-    for (const auto& chunk : recv) staged += chunk.size();
-    rep.mem_charge(staged, staged * tb);  // every chunk lands at once
-    for (int p = 0; p < P; ++p) {
-      auto& chunk = recv[static_cast<std::size_t>(p)];
-      fold_chunk(p, chunk);
-      rep.mem_release(chunk.size(), chunk.size() * tb);
-      chunk.clear();
-      chunk.shrink_to_fit();
-    }
+  // Pipelined fold: each chunk is pushed and merged as it arrives, in
+  // ascending rank order; later chunks' modeled transfer time hides behind
+  // earlier chunks' fold work, and only one chunk is ever staged.
+  auto req = comm.ialltoallv(std::move(send));
+  for (int p = 0; p < P; ++p) {
+    auto chunk = req.take_from(p);
+    rep.mem_charge(chunk.size(), chunk.size() * tb);  // arrival staging
+    fold_chunk(p, chunk);
+    rep.mem_release(chunk.size(), chunk.size() * tb);
   }
   auto ph = comm.phase(Phase::Other);
   auto c_local = DcscMatrix<VT>::from_coo(local);
@@ -398,7 +365,7 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
 /// all-to-all, ⊕-folded into a copy of the cached 1D structure. Collective.
 template <typename SR, typename VT>
 DistMatrix1D<VT> replay_coo_to_1d(Comm& comm, const ScatterRoute<VT>& route,
-                                  std::span<const VT> part_vals, bool overlap = false) {
+                                  std::span<const VT> part_vals) {
   const int P = comm.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
   {
@@ -423,26 +390,17 @@ DistMatrix1D<VT> replay_coo_to_1d(Comm& comm, const ScatterRoute<VT>& route,
       ++flat;
     }
   };
+  // Pipelined ⊕-fold: partial-C chunks fold into the shell as each source
+  // publishes. Consuming in ascending rank order preserves the captured
+  // program's flat (rank-major) fold order, so a non-commutative or
+  // non-associative ⊕ still reproduces the fresh result bit for bit; the
+  // structure-copy of the shell runs while chunks are in flight.
   std::size_t flat = 0;
-  if (overlap) {
-    // Pipelined ⊕-fold: partial-C chunks fold into the shell as each
-    // source publishes. Consuming in ascending rank order preserves the
-    // captured program's flat (rank-major) fold order, so a non-commutative
-    // or non-associative ⊕ still reproduces the fresh result bit for bit;
-    // the structure-copy of the shell runs while chunks are in flight.
-    auto req = comm.ialltoallv(std::move(send));
-    auto ph = comm.phase(Phase::Other);
-    DcscMatrix<VT> c_local = route.c_shell;
-    VT* cv = c_local.mutable_vals().data();
-    for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p), cv, flat);
-    return DistMatrix1D<VT>(route.nrows, route.ncols, route.out_bounds, comm.rank(),
-                            std::move(c_local));
-  }
-  auto recv = comm.alltoallv(send);
+  auto req = comm.ialltoallv(std::move(send));
   auto ph = comm.phase(Phase::Other);
   DcscMatrix<VT> c_local = route.c_shell;
   VT* cv = c_local.mutable_vals().data();
-  for (int p = 0; p < P; ++p) fold_chunk(p, recv[static_cast<std::size_t>(p)], cv, flat);
+  for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p), cv, flat);
   return DistMatrix1D<VT>(route.nrows, route.ncols, route.out_bounds, comm.rank(),
                           std::move(c_local));
 }

@@ -50,13 +50,14 @@ struct Split3dPlan {
 /// otherwise) — each layer grid is the nearest-square factorization of
 /// P/layers unless `grid_rows`/`grid_cols` pin a shape. C is returned in
 /// B's column distribution. `plan` (optional) captures the full value-only
-/// replay program while this fresh call runs.
+/// replay program while this fresh call runs; `budgeted` bounds each layer's
+/// stage window (a max_peak_triples budget is in force).
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_split_3d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b, int layers,
     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
     std::type_identity_t<Split3dPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
-    int grid_rows = 0, int grid_cols = 0, bool overlap = false, int lookahead = 0) {
+    int grid_rows = 0, int grid_cols = 0, bool budgeted = false) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_split_3d_dist: inner dimension mismatch");
   const int P = comm.size();
@@ -110,11 +111,11 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
   auto my_a = redistribute_1d_to_2d_grid(comm, a, std::span<const index_t>(rb),
                                          std::span<const index_t>(kflat_a), rank_of_a, gi,
                                          layer * grid.cols + gj,
-                                         plan != nullptr ? &plan->route_a : nullptr, overlap);
+                                         plan != nullptr ? &plan->route_a : nullptr);
   auto my_b = redistribute_1d_to_2d_grid(comm, b, std::span<const index_t>(kflat_b),
                                          std::span<const index_t>(cb), rank_of_b,
                                          layer * grid.rows + gi, gj,
-                                         plan != nullptr ? &plan->route_b : nullptr, overlap);
+                                         plan != nullptr ? &plan->route_b : nullptr);
 
   // Each layer's q_r × q_c grid runs SUMMA on its inner slice; partials
   // land in `acc` with global coordinates, and the final scatter merges
@@ -125,13 +126,13 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
       layer_comm, grid, my_a, my_b, std::span<const index_t>(rb),
       std::span<const index_t>(kb_layer[static_cast<std::size_t>(layer)]),
       std::span<const index_t>(cb), kernel, threads, acc,
-      plan != nullptr ? &plan->sched : nullptr, overlap, lookahead);
+      plan != nullptr ? &plan->sched : nullptr, budgeted);
   // Pipelined cross-layer "split" reduction: the scatter's ⊕-fold consumes
   // each layer's partial-C chunk as it arrives (streaming rounds-merge in
   // redistribute_coo_to_1d), so the cross-layer merge never holds all
   // arrivals plus the merged copy at once.
   auto c = redistribute_coo_to_1d<SR>(comm, acc, a.nrows(), b.ncols(), b.bounds(),
-                                      plan != nullptr ? &plan->out : nullptr, overlap);
+                                      plan != nullptr ? &plan->out : nullptr);
   // This layer's merged partials (charged stage by stage in summa_stages)
   // die here: the scatter has folded them into C's canonical distribution.
   comm.report().mem_release(acc.triples().size(),
@@ -147,15 +148,15 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
 template <typename SR, typename VT>
 DistMatrix1D<VT> spgemm_split_3d_replay(Comm& comm, Split3dPlan<VT, SR>& plan,
                                         const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                        bool overlap = false, int lookahead = 0) {
+                                        bool budgeted = false) {
   const int q2 = comm.size() / plan.layers;
   const int layer = comm.rank() / q2;
-  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a, overlap);
-  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b, overlap);
+  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a);
+  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b);
   Comm layer_comm = comm.split(layer, comm.rank());
   summadetail::summa_stages_replay<SR>(layer_comm, my_a, my_b, plan.sched, plan.acc_vals,
-                                       overlap, lookahead);
-  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals), overlap);
+                                       budgeted);
+  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals));
 }
 
 /// Replicated-operand wrapper (the original baseline API): distributes the

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -103,6 +102,58 @@ CscMatrix<VT> csc_from_block(index_t nrows, index_t ncols, std::vector<Triple<VT
   return CscMatrix<VT>::from_coo(CooMatrix<VT>(nrows, ncols, std::move(triples)));
 }
 
+/// The windowed post/drain loop every SUMMA stage pipeline runs (fresh,
+/// replay, and the batched fused replay): stage k's root-side payloads are
+/// extracted by `extract(k, abuf, bbuf)` (Phase::Other) and broadcast
+/// nonblocking along the row team (A, root grid column k/spc) and the column
+/// team (B, root grid row k/spr) a window of stages before `run(k, abuf,
+/// bbuf)` consumes them, so later payloads travel while earlier stages
+/// compute. The window is every stage when unbudgeted; a budgeted call keeps
+/// 2 stages posted beyond the one being drained, so at most 3 stage payloads
+/// are staged at once (the bound the cost model's peak prices). Issue order
+/// is (A, B) per stage, ascending, whatever the window, so comm-op indices,
+/// counters and FaultPlan coordinates do not depend on the budget. The
+/// staging gauge (elements of T) is charged at extraction on the roots and
+/// topped up at delivery; `run` releases it when the payload dies.
+template <typename T, typename Extract, typename Run>
+void pipeline_stages(Comm& comm, Comm& row_comm, Comm& col_comm, int s, int spc, int spr,
+                     bool budgeted, Extract&& extract, Run&& run) {
+  const int window = budgeted ? std::min(2, s) : s;
+  auto& rep = comm.report();
+  const auto n = static_cast<std::size_t>(s);
+  std::vector<std::vector<T>> abufs(n), bbufs(n);
+  std::vector<std::uint64_t> staged(n, 0);
+  std::vector<CommRequest> areq(n), breq(n);
+  // Charges stage k's buffers up to their current size: the roots'
+  // extraction, then what delivery added (a non-root's payload lands when
+  // its request completes).
+  auto charge = [&](std::size_t sk) {
+    const std::uint64_t tot = abufs[sk].size() + bbufs[sk].size();
+    if (tot <= staged[sk]) return;
+    rep.mem_charge(tot - staged[sk], (tot - staged[sk]) * sizeof(T));
+    staged[sk] = tot;
+  };
+  auto post = [&](int k) {
+    const auto sk = static_cast<std::size_t>(k);
+    {
+      auto ph = comm.phase(Phase::Other);
+      extract(k, abufs[sk], bbufs[sk]);
+    }
+    charge(sk);
+    areq[sk] = row_comm.ibcast(abufs[sk], k / spc);
+    breq[sk] = col_comm.ibcast(bbufs[sk], k / spr);
+  };
+  for (int k = 0; k < window; ++k) post(k);
+  for (int k = 0; k < s; ++k) {
+    const auto sk = static_cast<std::size_t>(k);
+    areq[sk].wait();
+    breq[sk].wait();
+    charge(sk);
+    if (k + window < s) post(k + window);
+    run(k, std::move(abufs[sk]), std::move(bbufs[sk]));
+  }
+}
+
 /// The SUMMA stage loop over one q_r × q_c grid (`grid.rows · grid.cols ==
 /// comm.size()`): accumulates this rank's partial C(gi, gj) into `acc` in
 /// *global* coordinates (rb/cb are global bounds). `kb` is the grid's
@@ -115,13 +166,14 @@ CscMatrix<VT> csc_from_block(index_t nrows, index_t ncols, std::vector<Triple<VT
 /// everything for 2D). Stage partials of the same entry are merged with ⊕
 /// before `acc` is handed back, so the caller ships post-merge volume. The
 /// merge is deterministic (ties fold in stage order), so a schedule
-/// captured via `sched` replays bit-exactly.
+/// captured via `sched` replays bit-exactly. `budgeted` bounds the stage
+/// window (pipeline_stages).
 template <typename SR, typename VT>
 void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
                   const CscMatrix<VT>& my_b, std::span<const index_t> rb,
                   std::span<const index_t> kb, std::span<const index_t> cb, LocalKernel kernel,
                   int threads, CooMatrix<VT>& acc, SummaSched<VT, SR>* sched = nullptr,
-                  bool overlap = false, int lookahead = 0) {
+                  bool budgeted = false) {
   const int s = grid.stages;
   const int spc = s / grid.cols;  // fine blocks per grid column (A ownership)
   const int spr = s / grid.rows;  // fine blocks per grid row (B ownership)
@@ -142,10 +194,14 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
   StreamingTripleMerge<VT> smerge;
+  // Per-stage root-side value sources, recorded by extract for the capture.
+  std::vector<index_t> a_los(static_cast<std::size_t>(s), 0);
+  std::vector<index_t> a_his(static_cast<std::size_t>(s), 0);
+  std::vector<std::vector<index_t>> b_srcs(static_cast<std::size_t>(s));
 
-  // Root-side payload extraction for stage k. Caller wraps in Phase::Other.
-  auto extract = [&](int k, std::vector<Triple<VT>>& abuf, std::vector<Triple<VT>>& bbuf,
-                     index_t& a_lo, index_t& a_hi, std::vector<index_t>& b_src) {
+  // Root-side payload extraction for stage k.
+  auto extract = [&](int k, std::vector<Triple<VT>>& abuf, std::vector<Triple<VT>>& bbuf) {
+    const auto sk = static_cast<std::size_t>(k);
     const index_t klo = kb[static_cast<std::size_t>(k)], khi = kb[static_cast<std::size_t>(k) + 1];
     if (gj == k / spc) {
       // Fine A block k = columns [klo−a_clo, khi−a_clo) of my piece:
@@ -153,9 +209,9 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
       // payload is the contiguous span vals[colptr[lo], colptr[hi]).
       const auto lo = static_cast<std::size_t>(klo - a_clo);
       const auto hi = static_cast<std::size_t>(khi - a_clo);
-      a_lo = my_a.colptr()[lo];
-      a_hi = my_a.colptr()[hi];
-      abuf.reserve(static_cast<std::size_t>(a_hi - a_lo));
+      a_los[sk] = my_a.colptr()[lo];
+      a_his[sk] = my_a.colptr()[hi];
+      abuf.reserve(static_cast<std::size_t>(a_his[sk] - a_los[sk]));
       for (std::size_t j = lo; j < hi; ++j) {
         auto rows = my_a.col_rows(static_cast<index_t>(j));
         auto vals = my_a.col_vals(static_cast<index_t>(j));
@@ -177,22 +233,21 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
             std::lower_bound(rows.begin(), rows.end(), blk_rlo) - rows.begin());
         for (std::size_t p = first; p < rows.size() && rows[p] < blk_rhi; ++p) {
           bbuf.push_back({rows[p] - blk_rlo, j, vals[p]});
-          if (sched != nullptr) b_src.push_back(base + static_cast<index_t>(p));
+          if (sched != nullptr) b_srcs[sk].push_back(base + static_cast<index_t>(p));
         }
       }
     }
   };
 
   // Everything after the broadcast of stage k — block rebuild, local
-  // multiply, partial-C accumulation. Shared verbatim by the lockstep and
-  // overlapped paths, so the two stay bit-identical by construction.
-  auto run_stage = [&](int k, std::vector<Triple<VT>> abuf, std::vector<Triple<VT>> bbuf,
-                       index_t a_lo, index_t a_hi, std::vector<index_t> b_src) {
+  // multiply, partial-C accumulation.
+  auto run_stage = [&](int k, std::vector<Triple<VT>> abuf, std::vector<Triple<VT>> bbuf) {
+    const auto sk = static_cast<std::size_t>(k);
     const index_t klo = kb[static_cast<std::size_t>(k)], khi = kb[static_cast<std::size_t>(k) + 1];
     const int a_root = k / spc;  // grid column owning fine A block k
     const int b_root = k / spr;  // grid row owning fine B block k
-    // Broadcast staging charged by the caller at delivery; dies when the
-    // triples are rebuilt into CSC blocks below.
+    // Broadcast staging charged by pipeline_stages; dies when the triples
+    // are rebuilt into CSC blocks below.
     const std::uint64_t payload = abuf.size() + bbuf.size();
 
     // The broadcast triples arrive in canonical (col-major, row-ascending)
@@ -226,9 +281,9 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
       if (gi != b_root) sched->bcast_recv_bytes += b_blk.vals().size() * sizeof(VT);
       st.a_blk = std::move(a_blk);
       st.b_blk = std::move(b_blk);
-      st.a_val_lo = a_lo;
-      st.a_val_hi = a_hi;
-      st.b_src = std::move(b_src);
+      st.a_val_lo = a_los[sk];
+      st.a_val_hi = a_his[sk];
+      st.b_src = std::move(b_srcs[sk]);
       sched->stages.push_back(std::move(st));
     } else {
       auto ph = comm.phase(Phase::Comp);
@@ -264,65 +319,10 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
     }
   };
 
-  if (!overlap) {
-    for (int k = 0; k < s; ++k) {
-      std::vector<Triple<VT>> abuf, bbuf;
-      index_t a_lo = 0, a_hi = 0;
-      std::vector<index_t> b_src;
-      {
-        auto ph = comm.phase(Phase::Other);
-        extract(k, abuf, bbuf, a_lo, a_hi, b_src);
-      }
-      row_comm.bcast(abuf, k / spc);  // fine A(gi, k) along grid row gi
-      col_comm.bcast(bbuf, k / spr);  // fine B(k, gj) along grid column gj
-      const std::uint64_t payload = abuf.size() + bbuf.size();
-      rep.mem_charge(payload, payload * tb);  // delivered stage staging
-      run_stage(k, std::move(abuf), std::move(bbuf), a_lo, a_hi, std::move(b_src));
-    }
-  } else {
-    // Double-buffered pipeline with a bounded lookahead window: stage k's
-    // A/B payload is extracted and its broadcasts posted nonblocking `la`
-    // stages before the local multiply consumes it, so later payloads
-    // travel while earlier stages compute. la == s (the default when
-    // `lookahead` is 0) posts everything up front — the previous
-    // full-lookahead behavior; a budgeted call passes a small window so at
-    // most la+1 stage payloads are staged at once. Issue order (a then b,
-    // ascending stages) matches the lockstep call order exactly, keeping
-    // per-rank comm_ops indices and byte/message counters — and therefore
-    // FaultPlan coordinates — identical across modes and window sizes.
-    const int la = lookahead > 0 ? std::min(lookahead, s) : s;
-    std::vector<std::vector<Triple<VT>>> abufs(static_cast<std::size_t>(s));
-    std::vector<std::vector<Triple<VT>>> bbufs(static_cast<std::size_t>(s));
-    std::vector<index_t> alos(static_cast<std::size_t>(s), 0);
-    std::vector<index_t> ahis(static_cast<std::size_t>(s), 0);
-    std::vector<std::vector<index_t>> bsrcs(static_cast<std::size_t>(s));
-    std::vector<std::uint64_t> staged(static_cast<std::size_t>(s), 0);
-    std::vector<std::optional<CommRequest>> areq(static_cast<std::size_t>(s));
-    std::vector<std::optional<CommRequest>> breq(static_cast<std::size_t>(s));
-    auto post = [&](int k) {
-      const auto sk = static_cast<std::size_t>(k);
-      {
-        auto ph = comm.phase(Phase::Other);
-        extract(k, abufs[sk], bbufs[sk], alos[sk], ahis[sk], bsrcs[sk]);
-      }
-      staged[sk] = abufs[sk].size() + bbufs[sk].size();  // root-side extraction
-      rep.mem_charge(staged[sk], staged[sk] * tb);
-      areq[sk].emplace(row_comm.ibcast(abufs[sk], k / spc));
-      breq[sk].emplace(col_comm.ibcast(bbufs[sk], k / spr));
-    };
-    for (int k = 0; k < la; ++k) post(k);
-    for (int k = 0; k < s; ++k) {
-      const auto sk = static_cast<std::size_t>(k);
-      areq[sk]->wait();
-      breq[sk]->wait();
-      // Top up to the delivered payload (non-roots held nothing until now).
-      const std::uint64_t tot = abufs[sk].size() + bbufs[sk].size();
-      if (tot > staged[sk]) rep.mem_charge(tot - staged[sk], (tot - staged[sk]) * tb);
-      if (k + la < s) post(k + la);
-      run_stage(k, std::move(abufs[sk]), std::move(bbufs[sk]), alos[sk], ahis[sk],
-                std::move(bsrcs[sk]));
-    }
-  }
+  // Fine A(gi, k) travels along grid row gi, fine B(k, gj) along grid
+  // column gj.
+  pipeline_stages<Triple<VT>>(comm, row_comm, col_comm, s, spc, spr, budgeted, extract,
+                              run_stage);
   // The per-stage streaming rounds leave `acc` already merged — the scatter
   // carries post-merge volume (what the cost model prices), not duplicates
   // per stage — and the composed fold program equals a terminal
@@ -339,7 +339,7 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
 template <typename SR, typename VT>
 void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<VT>& my_b,
                          SummaSched<VT, SR>& sched, std::vector<VT>& acc_vals,
-                         bool overlap = false, int lookahead = 0) {
+                         bool budgeted = false) {
   const int s = static_cast<int>(sched.stages.size());
   const int spc = s / sched.grid_cols;
   const int spr = s / sched.grid_rows;
@@ -353,7 +353,6 @@ void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<
   std::size_t flat = 0;
 
   // Root-side value gathers for stage k (contiguous A span; B index map).
-  // Caller wraps in Phase::Other.
   auto extract = [&](int k, std::vector<VT>& abuf, std::vector<VT>& bbuf) {
     auto& st = sched.stages[static_cast<std::size_t>(k)];
     if (gj == k / spc)
@@ -365,13 +364,12 @@ void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<
     }
   };
 
-  // Post-broadcast stage body: guard, shell fill, numeric pass, ⊕-fold.
-  // Shared by both paths; the fold consumes stages in ascending order either
-  // way, so overlapped replay stays bit-identical to lockstep replay.
+  // Post-broadcast stage body: guard, shell fill, numeric pass, ⊕-fold in
+  // ascending stage order — the captured fold program's order.
   auto run_stage = [&](int k, std::vector<VT> abuf, std::vector<VT> bbuf) {
     auto& st = sched.stages[static_cast<std::size_t>(k)];
-    // Value-only staging (charged at delivery, element-equivalents): dies
-    // when the values move into the cached shells below.
+    // Value-only staging (charged by pipeline_stages, element-equivalents):
+    // dies when the values move into the cached shells below.
     const std::uint64_t payload = abuf.size() + bbuf.size();
     CscMatrix<VT> c_blk;
     {
@@ -404,51 +402,7 @@ void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<
     }
   };
 
-  if (!overlap) {
-    for (int k = 0; k < s; ++k) {
-      std::vector<VT> abuf, bbuf;
-      {
-        auto ph = comm.phase(Phase::Other);
-        extract(k, abuf, bbuf);
-      }
-      row_comm.bcast(abuf, k / spc);
-      col_comm.bcast(bbuf, k / spr);
-      const std::uint64_t payload = abuf.size() + bbuf.size();
-      rep.mem_charge(payload, payload * sizeof(VT));
-      run_stage(k, std::move(abuf), std::move(bbuf));
-    }
-  } else {
-    // Bounded-lookahead value broadcasts (la == s, the default, posts every
-    // stage payload up front — the previous behavior); same issue order as
-    // lockstep, numeric passes drain them ascending either way.
-    const int la = lookahead > 0 ? std::min(lookahead, s) : s;
-    std::vector<std::vector<VT>> abufs(static_cast<std::size_t>(s));
-    std::vector<std::vector<VT>> bbufs(static_cast<std::size_t>(s));
-    std::vector<std::uint64_t> staged(static_cast<std::size_t>(s), 0);
-    std::vector<std::optional<CommRequest>> areq(static_cast<std::size_t>(s));
-    std::vector<std::optional<CommRequest>> breq(static_cast<std::size_t>(s));
-    auto post = [&](int k) {
-      const auto sk = static_cast<std::size_t>(k);
-      {
-        auto ph = comm.phase(Phase::Other);
-        extract(k, abufs[sk], bbufs[sk]);
-      }
-      staged[sk] = abufs[sk].size() + bbufs[sk].size();
-      rep.mem_charge(staged[sk], staged[sk] * sizeof(VT));
-      areq[sk].emplace(row_comm.ibcast(abufs[sk], k / spc));
-      breq[sk].emplace(col_comm.ibcast(bbufs[sk], k / spr));
-    };
-    for (int k = 0; k < la; ++k) post(k);
-    for (int k = 0; k < s; ++k) {
-      const auto sk = static_cast<std::size_t>(k);
-      areq[sk]->wait();
-      breq[sk]->wait();
-      const std::uint64_t tot = abufs[sk].size() + bbufs[sk].size();
-      if (tot > staged[sk]) rep.mem_charge(tot - staged[sk], (tot - staged[sk]) * sizeof(VT));
-      if (k + la < s) post(k + la);
-      run_stage(k, std::move(abufs[sk]), std::move(bbufs[sk]));
-    }
-  }
+  pipeline_stages<VT>(comm, row_comm, col_comm, s, spc, spr, budgeted, extract, run_stage);
 }
 
 }  // namespace summadetail
@@ -483,13 +437,14 @@ struct Summa2dPlan {
 /// (require_grid_shape validates a pinned shape against P). C is returned
 /// in B's column distribution; partial entries across the stages are merged
 /// with the semiring's ⊕. `plan` (optional) captures the full value-only
-/// replay program while this fresh call runs.
+/// replay program while this fresh call runs; `budgeted` bounds the stage
+/// window (a max_peak_triples budget is in force).
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_summa_2d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
     std::type_identity_t<Summa2dPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
-    int grid_rows = 0, int grid_cols = 0, bool overlap = false, int lookahead = 0) {
+    int grid_rows = 0, int grid_cols = 0, bool budgeted = false) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_summa_2d_dist: inner dimension mismatch");
   const int P = comm.size();
@@ -518,18 +473,18 @@ DistMatrix1D<VT> spgemm_summa_2d_dist(
   auto rank_of = [qc = grid.cols](int bi, int bj) { return bi * qc + bj; };
   auto my_a = redistribute_1d_to_2d_grid(comm, a, std::span<const index_t>(rb),
                                          std::span<const index_t>(ka), rank_of, gi, gj,
-                                         plan != nullptr ? &plan->route_a : nullptr, overlap);
+                                         plan != nullptr ? &plan->route_a : nullptr);
   auto my_b = redistribute_1d_to_2d_grid(comm, b, std::span<const index_t>(kbt),
                                          std::span<const index_t>(cb), rank_of, gi, gj,
-                                         plan != nullptr ? &plan->route_b : nullptr, overlap);
+                                         plan != nullptr ? &plan->route_b : nullptr);
 
   CooMatrix<VT> acc(a.nrows(), b.ncols());
   summadetail::summa_stages<SR>(comm, grid, my_a, my_b, std::span<const index_t>(rb),
                                 std::span<const index_t>(kb), std::span<const index_t>(cb),
                                 kernel, threads, acc,
-                                plan != nullptr ? &plan->sched : nullptr, overlap, lookahead);
+                                plan != nullptr ? &plan->sched : nullptr, budgeted);
   auto c = redistribute_coo_to_1d<SR>(comm, acc, a.nrows(), b.ncols(), b.bounds(),
-                                      plan != nullptr ? &plan->out : nullptr, overlap);
+                                      plan != nullptr ? &plan->out : nullptr);
   // The merged partial-C accumulator (charged stage by stage above) dies
   // here: the scatter has folded it into C's canonical distribution.
   comm.report().mem_release(acc.triples().size(),
@@ -544,12 +499,11 @@ DistMatrix1D<VT> spgemm_summa_2d_dist(
 template <typename SR, typename VT>
 DistMatrix1D<VT> spgemm_summa_2d_replay(Comm& comm, Summa2dPlan<VT, SR>& plan,
                                         const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                        bool overlap = false, int lookahead = 0) {
-  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a, overlap);
-  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b, overlap);
-  summadetail::summa_stages_replay<SR>(comm, my_a, my_b, plan.sched, plan.acc_vals, overlap,
-                                       lookahead);
-  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals), overlap);
+                                        bool budgeted = false) {
+  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a);
+  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b);
+  summadetail::summa_stages_replay<SR>(comm, my_a, my_b, plan.sched, plan.acc_vals, budgeted);
+  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals));
 }
 
 /// Replicated-operand wrapper (the original baseline API): distributes the

@@ -339,7 +339,7 @@ std::uint64_t modeled_peak_triples(const AlgoCostInputs& in, Algo algo, int k) {
       // panel narrower than that — kk > cd·qc — is what shrinks the
       // per-stage staging; this granularity is what makes SUMMA-2D (cd=1,
       // qc=2) and split-3D (cd=2, qc=1) measure identically at P=4. The
-      // lookahead bound (≤3 stages posted under a budget) caps the resident
+      // stage-window bound (≤3 stages staged under a budget) caps the resident
       // fraction on big grids; +130 is the small-problem floor (CSR
       // cursors, fold headers) the two calibration workloads expose.
       const double bwin = cd * qc;
@@ -531,7 +531,7 @@ AlgoPrediction CostModel::predict(const AlgoCostInputs& in_raw, Algo algo) const
   // Overlapped execution hides the fitted fraction of the comm term behind
   // the numeric pass (every backend's hot loop is double-buffered or
   // pipelined); with the default discount of 0 this is the identity.
-  if (in.overlap) pr.comm_s *= 1.0 - p_.overlap_discount;
+  pr.comm_s *= 1.0 - p_.overlap_discount;
   if (in.ordering == Ordering::Partitioned || in.ordering == Ordering::Random) {
     // One-shot ordering cost, paid by the build only (predict_replay zeroes
     // it, so the horizon pricing amortizes it over expected_iterations):
@@ -657,7 +657,7 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
   }
   pr.comp_s = pr.comp_coeff * p_.flop_s;
   pr.other_s = pr.other_coeff * p_.triple_s;
-  if (in.overlap) pr.comm_s *= 1.0 - p_.overlap_discount;
+  pr.comm_s *= 1.0 - p_.overlap_discount;
   return pr;
 }
 

@@ -27,9 +27,9 @@ struct CostParams {
 
   // Fitted correction terms (scripts/fit_cost_params.py; defaults are the
   // identity so unfitted runs predict exactly as before).
-  /// Fraction of a backend's modeled comm time hidden behind compute when
-  /// overlapped execution is on (AlgoCostInputs::overlap). Fit from the
-  /// measured overlap-efficiency series in BENCH_dist_backends.json.
+  /// Fraction of a backend's modeled comm time hidden behind compute by
+  /// the nonblocking exchanges. Fit from the measured overlap-efficiency
+  /// series in BENCH_dist_backends.json.
   double overlap_discount = 0.0;
   /// Multiplier mapping the analytic even-split imbalance of the grid
   /// backends onto the *measured* per-backend max/mean imbalance the
@@ -114,10 +114,6 @@ struct AlgoCostInputs {
   int panels = 0;
   std::size_t value_bytes = sizeof(double);
   std::size_t index_bytes = sizeof(index_t);
-  /// Whether execution overlaps communication with compute (the
-  /// DistSpgemmOptions::overlap switch); applies CostParams::overlap_discount
-  /// to the comm term of every backend prediction.
-  bool overlap = true;
   /// Multiplies expected to share each replay's collective rounds
   /// (DistSpgemmOptions::expected_batch): the batched executor
   /// (dist/batch_spgemm.hpp) concatenates k members' payloads into one

@@ -104,10 +104,10 @@ struct RankReport {
   std::array<std::uint64_t, 5> plan_replays{};
 
   // Multi-tenant plan-cache accounting (runtime/plan_cache.hpp). Counters
-  // are pure functions of the SPMD request sequence — independent of the
-  // overlap mode, thread timing, and the cost model — so every rank of a
-  // deterministic program reports identical values (the mode-invariance
-  // contract test_plan_cache asserts). `cache_bytes_resident` is a gauge:
+  // are pure functions of the SPMD request sequence — independent of
+  // thread timing and the cost model — so every rank of a
+  // deterministic program reports identical values (test_plan_cache
+  // asserts it per rank). `cache_bytes_resident` is a gauge:
   // the cache's agreed residency after the last cache operation.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;

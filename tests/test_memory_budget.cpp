@@ -1,6 +1,6 @@
 // Memory-bounded execution regression suite (DESIGN.md §13): budgeted
-// execution — streaming merges, windowed ring hops, bounded stage lookahead,
-// and column-panel replay — must be a *footprint-only* transform relative to
+// execution — streaming merges, windowed ring hops, a bounded SUMMA stage
+// window, and column-panel replay — must be a *footprint-only* transform relative to
 // the monolithic call: bit-identical results for every backend × semiring ×
 // fresh/replay × panel count; the measured peak-triples gauge must respect
 // max_peak_triples whenever the planner deems a budget feasible; divergent
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "dist/batch_spgemm.hpp"
 #include "dist/dist_plan.hpp"
 #include "dist/dist_spgemm.hpp"
 #include "runtime/errors.hpp"
@@ -155,6 +156,99 @@ TEST(MemoryBudget, FeasibleBudgetsBoundTheMeasuredPeak) {
       EXPECT_LE(r.fresh_stats.peak_triples, budget);
       EXPECT_LE(r.replay_stats.peak_triples, budget);
     }
+  }
+}
+
+// ---- a stage window smaller than the stage count ---------------------------
+
+TEST(MemoryBudget, StageWindowBindsOnRectangularGrid) {
+  // P = 6: SUMMA-2D runs on a 2×3 grid with lcm(2, 3) = 6 stages and
+  // split-3D on two 1×3 layers with 3 stages, so the budgeted window (2
+  // stages posted beyond the one being drained) is smaller than the stage
+  // count and actually binds — the P = 4 cells above have only 2 stages.
+  auto a = with_integer_values(erdos_renyi<double>(150, 5.0, 101), 102);
+  auto want = spgemm_local<PlusTimes<double>, double>(a, a, LocalKernel::Spa);
+  const int P = 6;
+  for (Algo algo : {Algo::Summa2D, Algo::Split3D}) {
+    DistSpgemmOptions base;
+    base.algo = algo;
+    auto b0 = run_mode<void>(P, a, base);
+    ASSERT_TRUE(bit_equal(b0.fresh, want));
+    std::uint64_t peak0 = 0;
+    for (const auto& r : b0.rep.ranks) peak0 = std::max(peak0, r.hwm_triples);
+    ASSERT_GT(peak0, 0u);
+
+    DistSpgemmOptions opt = base;
+    opt.max_peak_triples = 2 * peak0;
+    SCOPED_TRACE(std::string(algo_name(algo)) +
+                 " budget=" + std::to_string(opt.max_peak_triples));
+    auto r = run_mode<void>(P, a, opt);
+    EXPECT_TRUE(bit_equal(r.fresh, want));
+    EXPECT_TRUE(bit_equal(r.replay, want));
+    std::uint64_t peak = 0;
+    for (const auto& rk : r.rep.ranks) peak = std::max(peak, rk.hwm_triples);
+    EXPECT_LE(peak, opt.max_peak_triples);
+    EXPECT_LE(peak, peak0) << "the bounded window staged more than posting every stage";
+    EXPECT_LE(r.fresh_stats.peak_triples, opt.max_peak_triples);
+    EXPECT_LE(r.replay_stats.peak_triples, opt.max_peak_triples);
+  }
+}
+
+// ---- fused grid replays are budgeted like sequential ones ------------------
+
+TEST(MemoryBudget, FusedGridReplayChargesStagingWithinBudget) {
+  // A hot batch of SUMMA-2D replays over two tenants runs the fused stage
+  // pipeline. Its stage staging must reach the gauge (a nonzero peak: the
+  // hot batch's routes and scatter charge nothing) under the same bounded
+  // window as the sequential replay, stay under the budget, and stay
+  // bit-identical.
+  std::vector<CscMatrix<double>> tenants{
+      with_integer_values(erdos_renyi<double>(140, 5.0, 103), 104),
+      with_integer_values(block_clustered<double>(140, 5, 4.0, 0.4, 105), 106)};
+  std::vector<CscMatrix<double>> want;
+  for (const auto& t : tenants)
+    want.push_back(spgemm_local<PlusTimes<double>, double>(t, t, LocalKernel::Spa));
+  const int P = 4;
+  DistSpgemmOptions base;
+  base.algo = Algo::Summa2D;
+  std::uint64_t peak0 = 0;
+  for (const auto& t : tenants) {
+    auto b0 = run_mode<void>(P, t, base);
+    for (const auto& r : b0.rep.ranks) peak0 = std::max(peak0, r.hwm_triples);
+  }
+  ASSERT_GT(peak0, 0u);
+  DistSpgemmOptions opt = base;
+  opt.max_peak_triples = 2 * peak0;
+
+  Machine m(P);
+  std::vector<int> identical(static_cast<std::size_t>(P), 0);
+  std::vector<DistSpgemmStats> warm_st, hot_st;
+  m.run([&](Comm& c) {
+    PlanCache<double> cache;
+    std::vector<DistMatrix1D<double>> ops;
+    for (const auto& t : tenants) ops.push_back(DistMatrix1D<double>::from_global(c, t));
+    std::vector<std::pair<const DistMatrix1D<double>*, const DistMatrix1D<double>*>> items;
+    for (const auto& op : ops) items.push_back({&op, &op});
+    std::vector<DistSpgemmStats> w, h;
+    (void)spgemm_dist_batched(c, cache, items, opt, &w);  // builds both plans
+    auto got = spgemm_dist_batched(c, cache, items, opt, &h);  // one fused group
+    bool same = true;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      same = bit_equal(got[i].gather(c), want[i]) && same;
+    identical[static_cast<std::size_t>(c.rank())] = same ? 1 : 0;
+    if (c.rank() == 0) {
+      warm_st = w;
+      hot_st = h;
+    }
+  });
+  for (int r = 0; r < P; ++r) EXPECT_EQ(identical[static_cast<std::size_t>(r)], 1) << r;
+  ASSERT_EQ(hot_st.size(), tenants.size());
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    EXPECT_EQ(warm_st[i].panels, 1);  // monolithic plans: the hot batch fuses
+    EXPECT_TRUE(hot_st[i].plan_reused);
+    EXPECT_GT(hot_st[i].peak_triples, 0u);
+    EXPECT_LE(hot_st[i].peak_triples, opt.max_peak_triples);
   }
 }
 
@@ -300,7 +394,7 @@ struct RankOutcome {
 TEST(MemoryBudget, ChaosMidPanelContainsOrHealsOnEveryRank) {
   // Inject rank-abort and payload corruption into the middle of a panelized
   // fresh+replay workload (the op window straddles panel boundaries).
-  // Contract per cell, same as the lockstep chaos sweep: either every rank
+  // Contract per cell, same as test_fault's chaos sweep: either every rank
   // completes bit-identically (corruption healed by integrity replay) or
   // every rank raises the same typed error — and the machine never hangs.
   auto a = with_integer_values(erdos_renyi<double>(110, 4.0, 78), 99);

@@ -1,11 +1,11 @@
-// Overlapped-execution regression suite (DESIGN.md §10): the nonblocking
-// engine must be an *attribution-only* transform — same collective sequence,
-// same byte/message/op counters, bit-identical results — relative to the
-// seed's lockstep execution, for every backend × semiring × fresh/replay
-// combination; overlap accounting must split the same modeled comm total
-// into waited (comm_s) + hidden (overlap_s); and faults injected mid-overlap
-// must contain exactly like their lockstep counterparts (typed error on
-// every rank, never a hang).
+// Overlapped-execution regression suite (DESIGN.md §10): every exchange has
+// one pipelined implementation over the nonblocking primitives, and overlap
+// must be an *attribution-only* transform — a deterministic collective
+// sequence, bit-identical results for every backend × semiring ×
+// fresh/replay combination, and a modeled comm total split into waited
+// (comm_s) + hidden (overlap_s) that reconciles exactly with what the
+// blocking primitives charge for the same traffic. Faults injected
+// mid-overlap must contain (typed error on every rank, never a hang).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,8 +24,8 @@
 namespace sa1d {
 namespace {
 
-// Small-integer values keep every ⊕ order exact in doubles, so overlapped
-// and lockstep results can be compared *bit-identical*, not approximately.
+// Small-integer values keep every ⊕ order exact in doubles, so results can
+// be compared *bit-identical* to the serial reference, not approximately.
 CscMatrix<double> with_integer_values(CscMatrix<double> a, std::uint64_t seed) {
   SplitMix64 g(seed);
   std::vector<double> v(a.vals().size());
@@ -48,22 +48,23 @@ std::vector<std::uint64_t> counters_of(const RankReport& r) {
 
 constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
 
-/// Fresh + replay through one cached plan; returns the two gathered results.
-template <typename SRIn>
-struct ModeResult {
+/// Fresh + replay through one cached plan: the two gathered results, the
+/// run's reports, and each rank's counters priced by the α–β model
+/// (CostModel::comm_seconds — what blocking receives charge as waited).
+struct BackendRun {
   CscMatrix<double> fresh, replay;
   RunReport rep;
+  std::vector<double> priced;
 };
 
 template <typename SRIn>
-ModeResult<SRIn> run_mode(int P, const CscMatrix<double>& a, Algo algo, bool overlap) {
+BackendRun run_backend(int P, const CscMatrix<double>& a, Algo algo) {
   Machine m(P);
-  ModeResult<SRIn> out;
+  BackendRun out;
   out.rep = m.run([&](Comm& c) {
     auto da = DistMatrix1D<double>::from_global(c, a);
     DistSpgemmOptions opt;
     opt.algo = algo;
-    opt.overlap = overlap;
     DistSpgemmPlan<double, ResolveSemiring<SRIn, double>> plan;
     auto c1 = spgemm_dist_cached<SRIn>(c, plan, da, da, opt);
     auto c2 = spgemm_dist_cached<SRIn>(c, plan, da, da, opt);
@@ -74,6 +75,7 @@ ModeResult<SRIn> run_mode(int P, const CscMatrix<double>& a, Algo algo, bool ove
       out.replay = std::move(g2);
     }
   });
+  for (const auto& r : out.rep.ranks) out.priced.push_back(m.cost().comm_seconds(r));
   return out;
 }
 
@@ -83,27 +85,25 @@ void check_backend_semiring(const CscMatrix<double>& a, const CscMatrix<double>&
   const int P = 4;
   for (Algo algo : kBackends) {
     SCOPED_TRACE(std::string(algo_name(algo)) + " x " + sr_name);
-    auto ov = run_mode<SRIn>(P, a, algo, /*overlap=*/true);
-    auto lk = run_mode<SRIn>(P, a, algo, /*overlap=*/false);
+    auto run1 = run_backend<SRIn>(P, a, algo);
+    auto run2 = run_backend<SRIn>(P, a, algo);
 
-    // Correctness + determinism: fresh == replay == lockstep == reference.
-    EXPECT_TRUE(bit_equal(ov.fresh, want));
-    EXPECT_TRUE(bit_equal(ov.replay, want));
-    EXPECT_TRUE(bit_equal(lk.fresh, want));
-    EXPECT_TRUE(bit_equal(lk.replay, want));
+    // Correctness + determinism: fresh == replay == reference.
+    EXPECT_TRUE(bit_equal(run1.fresh, want));
+    EXPECT_TRUE(bit_equal(run1.replay, want));
 
-    // The engine is attribution-only: overlapped execution issues the exact
-    // same op sequence and traffic as lockstep, rank by rank — this is also
-    // what keeps FaultPlan op_index coordinates comparable across modes.
     for (int r = 0; r < P; ++r) {
-      const auto& ro = ov.rep.ranks[static_cast<std::size_t>(r)];
-      const auto& rl = lk.rep.ranks[static_cast<std::size_t>(r)];
-      EXPECT_EQ(counters_of(ro), counters_of(rl)) << "rank " << r;
-      // Same messages → same modeled comm total; overlap only re-attributes
-      // it between waited (comm_s) and hidden (overlap_s).
-      const double tot_ov = ro.comm_s + ro.overlap_s;
-      EXPECT_NEAR(tot_ov, rl.comm_s, 1e-9 + 1e-6 * rl.comm_s) << "rank " << r;
-      EXPECT_DOUBLE_EQ(rl.overlap_s, 0.0) << "rank " << r;
+      const auto rk = static_cast<std::size_t>(r);
+      const auto& ro = run1.rep.ranks[rk];
+      // The op sequence and traffic do not depend on when requests happen
+      // to complete — this is what keeps FaultPlan op_index coordinates
+      // stable from run to run.
+      EXPECT_EQ(counters_of(ro), counters_of(run2.rep.ranks[rk])) << "rank " << r;
+      // Overlap only re-attributes the modeled comm total between waited
+      // (comm_s) and hidden (overlap_s): together they are exactly what the
+      // blocking primitives would have charged for the same messages.
+      EXPECT_NEAR(ro.comm_s + ro.overlap_s, run1.priced[rk], 1e-9 + 1e-6 * run1.priced[rk])
+          << "rank " << r;
       EXPECT_GE(ro.overlap_s, 0.0) << "rank " << r;
     }
   }
@@ -111,22 +111,81 @@ void check_backend_semiring(const CscMatrix<double>& a, const CscMatrix<double>&
 
 // ---- differential bit-identity: backends × semirings × fresh/replay --------
 
-TEST(Overlap, PlusTimesBitIdenticalAcrossBackendsAndModes) {
+TEST(Overlap, PlusTimesBitIdenticalAcrossBackends) {
   auto a = with_integer_values(erdos_renyi<double>(130, 4.0, 71), 60);
   auto want = spgemm_local<PlusTimes<double>, double>(a, a, LocalKernel::Spa);
   check_backend_semiring<void>(a, want, "plus-times");
 }
 
-TEST(Overlap, MinPlusBitIdenticalAcrossBackendsAndModes) {
+TEST(Overlap, MinPlusBitIdenticalAcrossBackends) {
   auto a = with_integer_values(erdos_renyi<double>(130, 4.0, 72), 61);
   auto want = spgemm_local<MinPlus<double>, double>(a, a, LocalKernel::Spa);
   check_backend_semiring<MinPlus<double>>(a, want, "min-plus");
 }
 
-TEST(Overlap, OrAndBitIdenticalAcrossBackendsAndModes) {
+TEST(Overlap, OrAndBitIdenticalAcrossBackends) {
   auto a = with_integer_values(erdos_renyi<double>(130, 4.0, 73), 62);
   auto want = spgemm_local<OrAnd, double>(a, a, LocalKernel::Spa);
   check_backend_semiring<OrAnd>(a, want, "or-and");
+}
+
+// ---- the nonblocking primitives against their blocking references ----------
+
+TEST(Overlap, NonblockingPrimitivesChargeWhatBlockingOnesDo) {
+  // ibcast / ialltoallv / iget move the same payloads as bcast / alltoallv
+  // / get and record the same counters; their waited + hidden comm equals
+  // the blocking comm_s, and the blocking primitives hide nothing.
+  const int P = 4;
+  auto payloads = [](Comm& c, std::vector<double>& data, std::vector<std::vector<int>>& send,
+                     std::vector<double>& win) {
+    data.assign(c.rank() == 1 ? 64 : 0, 1.5);
+    send.assign(static_cast<std::size_t>(P), {});
+    for (int p = 0; p < P; ++p)
+      send[static_cast<std::size_t>(p)].assign(static_cast<std::size_t>(c.rank() + p), p);
+    win.assign(32, static_cast<double>(c.rank()));
+  };
+  std::vector<int> same(static_cast<std::size_t>(P), 0);
+  Machine blocking_m(P);
+  auto blocking = blocking_m.run([&](Comm& c) {
+    std::vector<double> data, win, got(8);
+    std::vector<std::vector<int>> send;
+    payloads(c, data, send, win);
+    c.bcast(data, 1);
+    (void)c.alltoallv(send);
+    Window w = c.expose(std::span<const double>(win));
+    c.get(w, (c.rank() + 1) % P, 4, 8, got.data());
+    c.barrier();
+  });
+  Machine nonblocking_m(P);
+  auto nonblocking = nonblocking_m.run([&](Comm& c) {
+    std::vector<double> data, win, got(8);
+    std::vector<std::vector<int>> send;
+    payloads(c, data, send, win);
+    auto b = c.ibcast(data, 1);
+    auto a = c.ialltoallv(std::move(send));
+    Window w = c.expose(std::span<const double>(win));
+    auto g = c.iget(w, (c.rank() + 1) % P, 4, 8, got.data());
+    b.wait();
+    bool ok = data.size() == 64;
+    for (int p = 0; p < P; ++p) {
+      const auto chunk = a.take_from(p);
+      ok = ok && chunk.size() == static_cast<std::size_t>(p + c.rank());
+    }
+    g.wait();
+    ok = ok && got[0] == static_cast<double>((c.rank() + 1) % P);
+    c.barrier();
+    same[static_cast<std::size_t>(c.rank())] = ok ? 1 : 0;
+  });
+  for (int r = 0; r < P; ++r) {
+    const auto& rb = blocking.ranks[static_cast<std::size_t>(r)];
+    const auto& rn = nonblocking.ranks[static_cast<std::size_t>(r)];
+    EXPECT_EQ(same[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(counters_of(rn), counters_of(rb)) << "rank " << r;
+    EXPECT_NEAR(rn.comm_s + rn.overlap_s, rb.comm_s, 1e-12 + 1e-9 * rb.comm_s) << "rank " << r;
+    EXPECT_EQ(rb.overlap_s, 0.0) << "rank " << r;  // blocking hides nothing, exactly
+    const double priced = blocking_m.cost().comm_seconds(rb);
+    EXPECT_NEAR(rb.comm_s, priced, 1e-12 + 1e-9 * priced) << "rank " << r;
+  }
 }
 
 // ---- overlap accounting ----------------------------------------------------
@@ -135,11 +194,11 @@ TEST(Overlap, StagePipelinedBackendsHideCommBehindCompute) {
   // The double-buffered SUMMA stages and the pipelined split fold must
   // actually hide time: some rank's overlap_s > 0, and hidden time must
   // never appear in the waited column too (no double counting — checked
-  // against lockstep totals in the differential tests above).
+  // against the counter-priced totals in the differential tests above).
   auto a = with_integer_values(erdos_renyi<double>(160, 5.0, 74), 63);
   for (Algo algo : {Algo::Summa2D, Algo::Split3D}) {
     SCOPED_TRACE(algo_name(algo));
-    auto ov = run_mode<void>(4, a, algo, /*overlap=*/true);
+    auto ov = run_backend<void>(4, a, algo);
     double hidden = 0.0;
     for (const auto& r : ov.rep.ranks) hidden += r.overlap_s;
     EXPECT_GT(hidden, 0.0);
@@ -168,27 +227,6 @@ TEST(Overlap, Sa1dPrefetchRespectsInflightBudgetAndStaysBitIdentical) {
   }
 }
 
-TEST(Overlap, DivergentOverlapOptionsFailValidationEverywhere) {
-  // The overlap switches are part of the option digest: ranks disagreeing
-  // on them would issue different op sequences, so the entry vote must
-  // raise the identical ValidationError on every rank instead.
-  auto a = with_integer_values(erdos_renyi<double>(80, 3.0, 76), 65);
-  Machine m(4);
-  std::vector<int> validation(4, 0);
-  m.run([&](Comm& c) {
-    auto da = DistMatrix1D<double>::from_global(c, a);
-    DistSpgemmOptions opt;
-    opt.algo = Algo::Summa2D;
-    opt.overlap = c.rank() % 2 == 0;  // diverges across ranks
-    try {
-      (void)spgemm_dist(c, da, da, opt);
-    } catch (const ValidationError&) {
-      validation[static_cast<std::size_t>(c.rank())] = 1;
-    }
-  });
-  for (int r = 0; r < 4; ++r) EXPECT_EQ(validation[static_cast<std::size_t>(r)], 1) << r;
-}
-
 // ---- faults mid-overlap ----------------------------------------------------
 
 /// One rank's outcome under injected faults (mirrors test_fault.cpp).
@@ -200,10 +238,10 @@ struct RankOutcome {
 
 TEST(Overlap, ChaosMidOverlapContainsOrHealsOnEveryRank) {
   // Inject rank-abort and payload corruption *while nonblocking requests are
-  // in flight* (overlap on, op coordinates probed from a clean overlapped
-  // run). Contract per cell, same as the lockstep chaos sweep: either every
-  // rank completes bit-identically (corruption healed by integrity replay)
-  // or every rank raises the same typed error — and the machine never hangs.
+  // in flight* (op coordinates probed from a clean run). Contract per cell:
+  // either every rank completes bit-identically (corruption healed by
+  // integrity replay) or every rank raises the same typed error — and the
+  // machine never hangs.
   auto a = with_integer_values(erdos_renyi<double>(110, 4.0, 77), 66);
   auto want = spgemm_local<PlusTimes<double>, double>(a, a, LocalKernel::Spa);
   const int P = 4;
@@ -213,7 +251,6 @@ TEST(Overlap, ChaosMidOverlapContainsOrHealsOnEveryRank) {
   for (Algo algo : kBackends) {
     DistSpgemmOptions opt;
     opt.algo = algo;
-    opt.overlap = true;
     opt.max_recovery_retries = 4;
 
     // Probe the op-count window of the fresh+replay workload on a clean

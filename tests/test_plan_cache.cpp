@@ -9,8 +9,8 @@
 // negative (equal quick fingerprints must not alias), the coherence guard
 // (a rank-divergent cache decision surfaces as the identical typed
 // ValidationError on every rank, never a hang), chaos (RankAbort mid-batch
-// fails every rank with the same Peer error), and mode-invariance of the
-// cache counters across overlap on/off.
+// fails every rank with the same Peer error), and the cache counters of a
+// mixed sequential/batched serving trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -86,13 +86,11 @@ using Items = std::vector<std::pair<const DistMatrix1D<double>*, const DistMatri
 /// above the tenant count exercise within-batch deferred hits), every
 /// member compared bit-identically against its fresh spgemm_dist result.
 template <typename SR>
-void expect_batched_bit_identical(int P, Algo algo, bool overlap,
-                                  const std::vector<CscMatrix<double>>& tenants,
+void expect_batched_bit_identical(int P, Algo algo, const std::vector<CscMatrix<double>>& tenants,
                                   const std::vector<int>& batch_sizes) {
   Machine m(P);
   DistSpgemmOptions opt;
   opt.algo = algo;
-  opt.overlap = overlap;
   m.run([&](Comm& c) {
     PlanCache<double, SR> cache;
     int t = 0;
@@ -119,8 +117,7 @@ void expect_batched_bit_identical(int P, Algo algo, bool overlap,
         auto fresh = spgemm_dist<SR>(c, ops[static_cast<std::size_t>(i)],
                                      ops[static_cast<std::size_t>(i)], opt);
         EXPECT_TRUE(got[static_cast<std::size_t>(i)].local() == fresh.local())
-            << algo_name(algo) << (overlap ? " overlap" : " lockstep") << " batch " << bs
-            << " member " << i;
+            << algo_name(algo) << " batch " << bs << " member " << i;
       }
       // Counter contract: a tenant's first-ever request is the only miss;
       // everything else (later batches AND within-batch duplicates) hits.
@@ -153,19 +150,7 @@ TEST(PlanCacheBatched, BitIdenticalAllBackendsPlusTimes) {
   tenants.push_back(erdos_renyi<double>(120, 3.0, 13));
   tenants.push_back(block_clustered<double>(120, 8, 5.0, 0.3, 17));
   for (Algo algo : all_backends())
-    expect_batched_bit_identical<PlusTimes<double>>(4, algo, /*overlap=*/false, tenants,
-                                                    {1, 2, 8, 32});
-}
-
-TEST(PlanCacheBatched, BitIdenticalAllBackendsOverlapped) {
-  // The same trace through the overlapped fused paths (ialltoallv hop
-  // shifts, up-front ibcast stage pipelines, SA-1D prefetch waves).
-  std::vector<CscMatrix<double>> tenants;
-  tenants.push_back(block_clustered<double>(120, 6, 4.0, 0.4, 19));
-  tenants.push_back(erdos_renyi<double>(120, 3.0, 23));
-  for (Algo algo : all_backends())
-    expect_batched_bit_identical<PlusTimes<double>>(4, algo, /*overlap=*/true, tenants,
-                                                    {2, 8});
+    expect_batched_bit_identical<PlusTimes<double>>(4, algo, tenants, {1, 2, 8, 32});
 }
 
 TEST(PlanCacheBatched, BitIdenticalMinPlusFoldPrograms) {
@@ -176,8 +161,7 @@ TEST(PlanCacheBatched, BitIdenticalMinPlusFoldPrograms) {
   tenants.push_back(block_clustered<double>(100, 5, 4.0, 0.4, 29));
   tenants.push_back(erdos_renyi<double>(100, 3.0, 31));
   for (Algo algo : all_backends())
-    expect_batched_bit_identical<MinPlus<double>>(4, algo, /*overlap=*/false, tenants,
-                                                  {1, 2, 8});
+    expect_batched_bit_identical<MinPlus<double>>(4, algo, tenants, {1, 2, 8});
 }
 
 TEST(PlanCacheBatched, RectangularGridAndPrimeRankCounts) {
@@ -186,8 +170,8 @@ TEST(PlanCacheBatched, RectangularGridAndPrimeRankCounts) {
   tenants.push_back(erdos_renyi<double>(120, 3.0, 41));
   // P = 3: prime (1×3 grids); P = 6: rectangular 2×3 grid + 3-layer 3D.
   for (int P : {3, 6}) {
-    expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Summa2D, false, tenants, {2, 8});
-    expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Split3D, false, tenants, {2, 8});
+    expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Summa2D, tenants, {2, 8});
+    expect_batched_bit_identical<PlusTimes<double>>(P, Algo::Split3D, tenants, {2, 8});
   }
 }
 
@@ -429,6 +413,25 @@ TEST(PlanCacheCoherence, DivergentBatchVoteIsUniformValidationError) {
     EXPECT_EQ(out[static_cast<std::size_t>(r)].what, out[0].what) << "rank " << r;
   }
   EXPECT_NE(out[0].what.find("spgemm_dist_batched"), std::string::npos);
+
+  // The batch votes on the full options digest: a rank-divergent
+  // reorder_seed must fail its validation exchange on every rank, before
+  // any cache decision or data collective.
+  Machine m2(4);
+  auto seeds = run_capture(m2, [&](Comm& c) {
+    PlanCache<double> cache;
+    auto d0 = DistMatrix1D<double>::from_global(c, with_values(pat, 0));
+    DistSpgemmOptions div = opt;
+    div.reorder_seed = c.rank() == 3 ? 7 : 1;
+    Items batch{{&d0, &d0}};
+    spgemm_dist_batched(c, cache, batch, div);
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_FALSE(seeds[static_cast<std::size_t>(r)].ok) << "rank " << r;
+    EXPECT_EQ(seeds[static_cast<std::size_t>(r)].cls, FaultClass::Validation) << "rank " << r;
+    EXPECT_EQ(seeds[static_cast<std::size_t>(r)].what, seeds[0].what) << "rank " << r;
+  }
+  EXPECT_NE(seeds[0].what.find("disagree across ranks"), std::string::npos);
 }
 
 // ---- chaos: RankAbort mid-batch --------------------------------------------
@@ -484,43 +487,30 @@ TEST(PlanCacheChaos, RankAbortMidBatchFailsEveryRankTyped) {
   }
 }
 
-// ---- counters are mode-invariant across overlap ---------------------------
+// ---- counters of a mixed serving trace ------------------------------------
 
-TEST(PlanCacheCounters, InvariantAcrossOverlapModes) {
+TEST(PlanCacheCounters, MixedSequentialAndBatchedTrace) {
   auto p0 = block_clustered<double>(110, 5, 4.0, 0.4, 89);
   auto p1 = erdos_renyi<double>(110, 3.0, 97);
-  auto trace = [&](bool overlap, std::uint64_t* hits, std::uint64_t* misses,
-                   std::uint64_t* evictions) {
-    Machine m(4);
-    DistSpgemmOptions opt;
-    opt.algo = Algo::Summa2D;
-    opt.overlap = overlap;
-    m.run([&](Comm& c) {
-      PlanCache<double> cache;
-      std::vector<DistMatrix1D<double>> ops;
-      for (int t = 0; t < 4; ++t)
-        ops.push_back(DistMatrix1D<double>::from_global(
-            c, with_values(t % 2 == 0 ? p0 : p1, t)));
-      spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
-      Items batch{{&ops[1], &ops[1]}, {&ops[2], &ops[2]}, {&ops[3], &ops[3]}};
-      spgemm_dist_batched(c, cache, batch, opt);
-      if (c.rank() == 0) {
-        *hits = c.report().cache_hits;
-        *misses = c.report().cache_misses;
-        *evictions = c.report().cache_evictions;
-      }
-    });
-  };
-  std::uint64_t h0 = 0, m0 = 0, e0 = 0, h1 = 0, m1 = 0, e1 = 0;
-  trace(false, &h0, &m0, &e0);
-  trace(true, &h1, &m1, &e1);
-  // The cache's observable behavior must not depend on the comm engine
-  // mode: same trace, same hit/miss/eviction counts either way.
-  EXPECT_EQ(h0, h1);
-  EXPECT_EQ(m0, m1);
-  EXPECT_EQ(e0, e1);
-  EXPECT_EQ(m0, 2u);  // two tenants, first touch each
-  EXPECT_EQ(h0, 2u);  // the other two requests hit
+  Machine m(4);
+  DistSpgemmOptions opt;
+  opt.algo = Algo::Summa2D;
+  auto rep = m.run([&](Comm& c) {
+    PlanCache<double> cache;
+    std::vector<DistMatrix1D<double>> ops;
+    for (int t = 0; t < 4; ++t)
+      ops.push_back(DistMatrix1D<double>::from_global(c, with_values(t % 2 == 0 ? p0 : p1, t)));
+    spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
+    Items batch{{&ops[1], &ops[1]}, {&ops[2], &ops[2]}, {&ops[3], &ops[3]}};
+    spgemm_dist_batched(c, cache, batch, opt);
+  });
+  // The counters are pure functions of the request sequence, so every rank
+  // reports the same values.
+  for (const auto& r : rep.ranks) {
+    EXPECT_EQ(r.cache_misses, 2u);  // two tenants, first touch each
+    EXPECT_EQ(r.cache_hits, 2u);    // the other two requests hit
+    EXPECT_EQ(r.cache_evictions, 0u);
+  }
 }
 
 }  // namespace
