@@ -15,8 +15,7 @@
 
 #include "apps/bc.hpp"
 #include "bench_common.hpp"
-#include "dist/spgemm3d.hpp"
-#include "dist/summa2d.hpp"
+#include "dist/dist_spgemm.hpp"
 
 namespace sa1d::bench {
 
@@ -145,16 +144,24 @@ inline LevelSeries bc_series_baseline(Machine& m, const CscMatrix<double>& a_in,
   return out;
 }
 
-inline BaselineMult make_summa2d_mult() {
-  return [](Comm& c, const CscMatrix<double>& a, const CscMatrix<double>& b) {
-    return gather_coo(c, spgemm_summa_2d(c, a, b));
+/// A replicated-operand baseline multiply through spgemm_dist on one grid
+/// backend: both operands are distributed from the globals every rank
+/// holds, and C is gathered back onto every rank.
+inline BaselineMult make_grid_mult(Algo algo, int layers = 0) {
+  return [algo, layers](Comm& c, const CscMatrix<double>& a, const CscMatrix<double>& b) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    auto db = DistMatrix1D<double>::from_global(c, b);
+    DistSpgemmOptions opt;
+    opt.algo = algo;
+    opt.layers = layers;
+    return spgemm_dist(c, da, db, opt).gather(c);
   };
 }
 
+inline BaselineMult make_summa2d_mult() { return make_grid_mult(Algo::Summa2D); }
+
 inline BaselineMult make_split3d_mult(int layers) {
-  return [layers](Comm& c, const CscMatrix<double>& a, const CscMatrix<double>& b) {
-    return gather_coo(c, spgemm_split_3d(c, a, b, layers));
-  };
+  return make_grid_mult(Algo::Split3D, layers);
 }
 
 inline void print_series(const char* algo, const LevelSeries& s) {

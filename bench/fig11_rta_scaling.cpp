@@ -6,8 +6,7 @@
 
 #include "apps/amg.hpp"
 #include "bench_common.hpp"
-#include "dist/spgemm3d.hpp"
-#include "dist/summa2d.hpp"
+#include "dist/dist_spgemm.hpp"
 #include "part/permutation.hpp"
 
 int main() {
@@ -46,6 +45,17 @@ int main() {
   auto aperm = permute_symmetric(a, perm);
   auto rperm = permute(r, perm, Permutation::identity(r.ncols()));
   auto rtperm = transpose(rperm);
+  // Replicated-operand grid multiply: both globals distributed, C left in
+  // B's 1D column distribution.
+  auto grid_product = [](Comm& c, const CscMatrix<double>& x, const CscMatrix<double>& y,
+                         Algo algo, int layers) {
+    auto dx = DistMatrix1D<double>::from_global(c, x);
+    auto dy = DistMatrix1D<double>::from_global(c, y);
+    DistSpgemmOptions opt;
+    opt.algo = algo;
+    opt.layers = layers;
+    return spgemm_dist(c, dx, dy, opt);
+  };
 
   for (int P : {4, 16, 64}) {
     CostParams cp;
@@ -61,9 +71,8 @@ int main() {
     }
     {
       auto rep = m.run([&](Comm& c) {
-        auto rta = spgemm_summa_2d(c, rtperm, aperm);
-        auto rta_csc = gather_coo(c, rta);
-        spgemm_summa_2d(c, rta_csc, rperm);
+        auto rta = grid_product(c, rtperm, aperm, Algo::Summa2D, 0).gather(c);
+        grid_product(c, rta, rperm, Algo::Summa2D, 0);
       });
       std::printf("%5d %-22s %12.2f\n", P, "2D SUMMA (rand)",
                   1e3 * bench::modeled(rep, m.cost()).total());
@@ -71,9 +80,8 @@ int main() {
     for (int layers : valid_layer_counts(P)) {
       if (layers == 1 || layers == P) continue;
       auto rep = m.run([&](Comm& c) {
-        auto rta = spgemm_split_3d(c, rtperm, aperm, layers);
-        auto rta_csc = gather_coo(c, rta);
-        spgemm_split_3d(c, rta_csc, rperm, layers);
+        auto rta = grid_product(c, rtperm, aperm, Algo::Split3D, layers).gather(c);
+        grid_product(c, rta, rperm, Algo::Split3D, layers);
       });
       char label[64];
       std::snprintf(label, sizeof label, "3D split c=%d (rand)", layers);

@@ -415,99 +415,19 @@ class SpgemmPlan1D {
   /// pair was just verified against this plan — a successful collective
   /// matches() this iteration, or the plan was built from these operands
   /// (spgemm_1d and spgemm_1d_cached call this). Only the O(1) fingerprint
-  /// fields are re-validated.
+  /// fields are re-validated. A replay of one member (see replay()).
   DistMatrix1D<VT> execute_verified(Comm& comm, const DistMatrix1D<VT>& a,
                                     const DistMatrix1D<VT>& b,
                                     Spgemm1dInfo* info_out = nullptr) {
-    // Structured (not a bare require): a rank whose operands diverged from
-    // the verified plan must not skip the window expose while peers get
-    // from it — comm.fail raises PlanMismatch machine-wide so every rank
-    // unwinds with the identical recoverable error.
-    if (!built_ || !quick_matches_local(a, b))
-      comm.fail(FaultClass::PlanMismatch, "execute_verified",
-                "SpgemmPlan1D::execute_verified: operand/plan mismatch (rank " +
-                    std::to_string(comm.global_rank(comm.rank())) +
-                    "'s operand dims/nnz diverged from the plan fingerprint)");
-
-    Window win_val = comm.expose(std::span<const VT>(a.local().vals()));
-
-    // Transient-memory gauge (DESIGN.md §13): the Ã/B̃ assemblies are the
-    // SA-1D execution's working set — charged for the duration of the call
-    // (the shells are plan-resident, but their values are live operand
-    // copies only while the multiply runs).
-    auto& rep = comm.report();
-    const std::uint64_t live =
-        static_cast<std::uint64_t>(atilde_m_.nnz()) + static_cast<std::uint64_t>(btilde_m_.nnz());
-    rep.mem_charge(live, live * sizeof(VT));
-
-    // Ã values, written in place into the cached shell: local spans + one
-    // value get per planned block.
-    VT* av = atilde_m_.mutable_vals().data();
-    {
-      auto ph = comm.phase(Phase::Other);
-      const VT* src = a.local().vals().data();
-      for (const auto& s : local_copies_)
-        std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-    }
-    // Prefetch pipeline: keep up to `prefetch_inflight` value gets in
-    // flight, each with its own staging buffer; the scatter of block g (and
-    // the B̃ gather below) runs while blocks g+1.. travel. A slot is reused
-    // only after its block has been drained, bounding memory.
-    index_t exec_gets = 0;
-    const std::size_t nf = fetches_.size();
-    const std::size_t depth =
-        std::min(static_cast<std::size_t>(std::max(opt_.prefetch_inflight, 1)), nf);
-    if (prefetch_bufs_.size() < depth) prefetch_bufs_.resize(depth);
-    std::vector<CommRequest> ring(depth);
-    auto issue = [&](std::size_t i) {
-      const auto& f = fetches_[i];
-      auto& buf = prefetch_bufs_[i % depth];
-      buf.resize(static_cast<std::size_t>(f.len));
-      ring[i % depth] = comm.iget(win_val, f.owner, f.elo, f.len, buf.data());
-    };
-    for (std::size_t i = 0; i < depth; ++i) issue(i);
-    // B̃ values through the cached gather map: independent of Ã's fetched
-    // values, so the gather runs inside the in-flight window.
-    {
-      auto ph = comm.phase(Phase::Other);
-      VT* btv = btilde_m_.mutable_vals().data();
-      const VT* bv = b.local().vals().data();
-      for (std::size_t i = 0; i < bt_src_.size(); ++i)
-        btv[i] = bv[static_cast<std::size_t>(bt_src_[i])];
-    }
-    for (std::size_t i = 0; i < nf; ++i) {
-      ring[i % depth].wait();
-      ++exec_gets;
-      {
-        auto ph = comm.phase(Phase::Other);
-        const VT* src = prefetch_bufs_[i % depth].data();
-        for (const auto& s : fetches_[i].spans)
-          std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-      }
-      if (i + depth < nf) issue(i + depth);
-    }
-    CscMatrix<VT> c_local;
-    {
-      auto ph = comm.phase(Phase::Comp);
-      c_local = spgemm_local_numeric<SR, VT>(atilde_m_, btilde_m_, sym_, &ws_);
-    }
-
-    // Keep A's value window alive until every rank finished fetching.
-    comm.barrier();
-
-    DcscMatrix<VT> c_dcsc;
-    {
-      auto ph = comm.phase(Phase::Other);
-      c_dcsc = DcscMatrix<VT>::from_csc(c_local);
-    }
-    rep.mem_release(live, live * sizeof(VT));
-    ++executions_;
+    const Replay one{this, &a, &b};
+    auto out = replay(comm, std::span<const Replay>(&one, 1));
     if (info_out != nullptr) {
       *info_out = plan_info_;
-      info_out->rdma_calls = exec_gets;
+      info_out->rdma_calls = static_cast<index_t>(fetches_.size());
     }
-    return DistMatrix1D<VT>(c_nrows_, c_ncols_, out_bounds_, comm.rank(), std::move(c_dcsc));
+    return std::move(out[0]);
   }
+
 
   [[nodiscard]] bool empty() const { return !built_; }
 
@@ -562,36 +482,42 @@ class SpgemmPlan1D {
     return b;
   }
 
-  /// One member of a fused SA-1D batch: a verified plan plus the operand
-  /// pair it replays.
-  struct FusedArg {
+
+  /// One member of a replay: a verified plan plus the operand pair it
+  /// replays.
+  struct Replay {
     SpgemmPlan1D* plan;
     const DistMatrix1D<VT>* a;
     const DistMatrix1D<VT>* b;
   };
 
-  /// Batched executor (collective): replays k verified plans in one fused
-  /// fetch wave. All members' A-value windows are exposed up front, the
-  /// members' planned value gets flatten into a single member-major
-  /// interleaved pipeline (one bounded in-flight ring across the whole
-  /// batch, so member boundaries never drain it), and ONE barrier at the end
-  /// covers every window — k multiplies pay one expose/barrier round and one
-  /// continuously-full RDMA pipeline instead of k sequential ones. Each
-  /// member's value copies, gathers, and numeric pass are the sequential
-  /// executor's, byte for byte, so every result is bit-identical to its own
-  /// execute_verified call. Results are returned in member order.
-  static std::vector<DistMatrix1D<VT>> execute_fused(Comm& comm,
-                                                     std::span<const FusedArg> ops) {
+  /// The executor (collective): replays k verified plans in one fetch wave
+  /// — execute_verified is the same code with k = 1. Every member's A-value
+  /// window is exposed up front and the members' planned value gets flatten
+  /// into one member-major pipeline of at most `prefetch_inflight` gets in
+  /// flight (one staging ring across the whole group, so member boundaries
+  /// never drain it). The first window of gets is posted before the local
+  /// copies and the B̃ gathers, which then run while those gets travel; ONE
+  /// barrier at the end covers every window. So k multiplies pay one
+  /// expose/barrier round and one continuously-full RDMA pipeline. Each
+  /// member's value copies, gathers and numeric pass depend only on its own
+  /// plan, so every result is bit-identical whatever the group. Results are
+  /// returned in member order.
+  static std::vector<DistMatrix1D<VT>> replay(Comm& comm, std::span<const Replay> ops) {
     const std::size_t k = ops.size();
-    // Verify every member before the first collective: a diverged member
-    // must raise machine-wide, not leave peers stuck in the expose round.
+    if (k == 0) return {};
+    // Structured (not a bare require): a rank whose operands diverged from
+    // the verified plan must not skip the window exposes while peers get
+    // from them — comm.fail raises PlanMismatch machine-wide so every rank
+    // unwinds with the identical recoverable error.
     for (std::size_t m = 0; m < k; ++m)
       if (ops[m].plan == nullptr || !ops[m].plan->built_ ||
           !ops[m].plan->quick_matches_local(*ops[m].a, *ops[m].b))
-        comm.fail(FaultClass::PlanMismatch, "execute_fused",
-                  "SpgemmPlan1D::execute_fused: batch member " + std::to_string(m) +
+        comm.fail(FaultClass::PlanMismatch, "execute_verified",
+                  "SpgemmPlan1D::replay: member " + std::to_string(m) +
                       "'s operand/plan mismatch (rank " +
-                      std::to_string(comm.global_rank(comm.rank())) + ")");
+                      std::to_string(comm.global_rank(comm.rank())) +
+                      "'s operand dims/nnz diverged from the plan fingerprint)");
 
     // Expose every member's window before any get — peers may be fetching
     // member j while this rank still pipelines member i.
@@ -600,8 +526,10 @@ class SpgemmPlan1D {
     for (const auto& op : ops)
       wins.push_back(comm.expose(std::span<const VT>(op.a->local().vals())));
 
-    // Transient-memory gauge: every member's Ã/B̃ assembly is live at once
-    // in the fused wave (that is the point of fusion).
+    // Transient-memory gauge (DESIGN.md §13): the Ã/B̃ assemblies are the
+    // execution's working set — charged for the duration of the call (the
+    // shells are plan-resident, but their values are live operand copies
+    // only while the multiplies run), every member's at once.
     auto& rep = comm.report();
     std::uint64_t live = 0;
     for (const auto& op : ops)
@@ -609,8 +537,35 @@ class SpgemmPlan1D {
               static_cast<std::uint64_t>(op.plan->btilde_m_.nnz());
     rep.mem_charge(live, live * sizeof(VT));
 
-    // Local value copies and B̃ gathers for the whole batch (independent of
-    // the fetched values, so they run before/inside the in-flight window).
+    // Prefetch pipeline: member-major flattening of every planned value get,
+    // up to `depth` in flight, each with its own staging buffer (the first
+    // member's plan owns the ring). A slot is reused only after its block has
+    // been drained, bounding memory.
+    struct FlatFetch {
+      std::size_t m, i;
+    };
+    std::vector<FlatFetch> flat;
+    std::size_t depth = 1;
+    for (std::size_t m = 0; m < k; ++m) {
+      const auto& p = *ops[m].plan;
+      for (std::size_t i = 0; i < p.fetches_.size(); ++i) flat.push_back({m, i});
+      depth = std::max(depth, static_cast<std::size_t>(std::max(p.opt_.prefetch_inflight, 1)));
+    }
+    const std::size_t nf = flat.size();
+    depth = std::min(depth, nf);
+    auto& bufs = ops[0].plan->prefetch_bufs_;
+    if (bufs.size() < depth) bufs.resize(depth);
+    std::vector<CommRequest> ring(depth);
+    auto issue = [&](std::size_t x) {
+      const auto& f = ops[flat[x].m].plan->fetches_[flat[x].i];
+      auto& buf = bufs[x % depth];
+      buf.resize(static_cast<std::size_t>(f.len));
+      ring[x % depth] = comm.iget(wins[flat[x].m], f.owner, f.elo, f.len, buf.data());
+    };
+    for (std::size_t x = 0; x < depth; ++x) issue(x);
+
+    // Local value spans and B̃ values through the cached gather map: both
+    // independent of the fetched values, so they run inside the window.
     for (const auto& op : ops) {
       auto ph = comm.phase(Phase::Other);
       VT* av = op.plan->atilde_m_.mutable_vals().data();
@@ -622,49 +577,20 @@ class SpgemmPlan1D {
       for (std::size_t i = 0; i < op.plan->bt_src_.size(); ++i)
         btv[i] = bv[static_cast<std::size_t>(op.plan->bt_src_[i])];
     }
-
-    // Fused fetch wave: member-major flattening, one bounded ring.
-    struct FlatFetch {
-      std::size_t m, i;
-    };
-    std::vector<FlatFetch> flat;
-    std::size_t depth = 1;
-    for (std::size_t m = 0; m < k; ++m) {
-      const auto& p = *ops[m].plan;
-      for (std::size_t i = 0; i < p.fetches_.size(); ++i) flat.push_back({m, i});
-      if (p.opt_.prefetch_inflight > 0)
-        depth = std::max(depth, static_cast<std::size_t>(p.opt_.prefetch_inflight));
-    }
-    const std::size_t nf = flat.size();
-    if (nf > 0) {
-      depth = std::min(depth, nf);
-      std::vector<std::vector<VT>> bufs(depth);
-      std::vector<CommRequest> ring(depth);
-      auto issue = [&](std::size_t x) {
-        const auto& p = *ops[flat[x].m].plan;
-        const auto& f = p.fetches_[flat[x].i];
-        auto& buf = bufs[x % depth];
-        buf.resize(static_cast<std::size_t>(f.len));
-        ring[x % depth] = comm.iget(wins[flat[x].m], f.owner, f.elo, f.len, buf.data());
-      };
-      for (std::size_t x = 0; x < depth; ++x) issue(x);
-      for (std::size_t x = 0; x < nf; ++x) {
-        ring[x % depth].wait();
-        {
-          auto ph = comm.phase(Phase::Other);
-          auto& p = *ops[flat[x].m].plan;
-          const auto& f = p.fetches_[flat[x].i];
-          VT* av = p.atilde_m_.mutable_vals().data();
-          const VT* src = bufs[x % depth].data();
-          for (const auto& s : f.spans)
-            std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
-        }
-        if (x + depth < nf) issue(x + depth);
+    for (std::size_t x = 0; x < nf; ++x) {
+      ring[x % depth].wait();
+      {
+        auto ph = comm.phase(Phase::Other);
+        auto& p = *ops[flat[x].m].plan;
+        VT* av = p.atilde_m_.mutable_vals().data();
+        const VT* src = bufs[x % depth].data();
+        for (const auto& s : p.fetches_[flat[x].i].spans)
+          std::copy_n(src + s.src, static_cast<std::size_t>(s.len), av + s.dst);
       }
+      if (x + depth < nf) issue(x + depth);
     }
 
-    // Numeric passes in member order — the same kernel calls the sequential
-    // executor makes, so each member's values are bit-identical.
+    // Numeric passes in member order.
     std::vector<CscMatrix<VT>> c_locals;
     c_locals.reserve(k);
     for (const auto& op : ops) {
@@ -673,8 +599,8 @@ class SpgemmPlan1D {
                                                       op.plan->sym_, &op.plan->ws_));
     }
 
-    // One barrier keeps every member's value window alive until all ranks
-    // finished fetching — the batch's single synchronization round.
+    // Keep every member's value window alive until all ranks finished
+    // fetching — the group's single synchronization round.
     comm.barrier();
 
     std::vector<DistMatrix1D<VT>> out;
@@ -682,9 +608,9 @@ class SpgemmPlan1D {
     for (std::size_t m = 0; m < k; ++m) {
       auto ph = comm.phase(Phase::Other);
       DcscMatrix<VT> c_dcsc = DcscMatrix<VT>::from_csc(c_locals[m]);
-      ++ops[m].plan->executions_;
-      out.emplace_back(ops[m].plan->c_nrows_, ops[m].plan->c_ncols_, ops[m].plan->out_bounds_,
-                       comm.rank(), std::move(c_dcsc));
+      auto& p = *ops[m].plan;
+      ++p.executions_;
+      out.emplace_back(p.c_nrows_, p.c_ncols_, p.out_bounds_, comm.rank(), std::move(c_dcsc));
     }
     rep.mem_release(live, live * sizeof(VT));
     return out;

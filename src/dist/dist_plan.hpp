@@ -9,9 +9,9 @@
 //             program (RingPlan);
 //   SUMMA-2D  the 1D→grid alltoallv routes, the per-stage broadcast-block
 //             shells + symbolic results, and the partial-C→1D
-//             scatter/merge program (Summa2dPlan);
+//             scatter/merge program (GridPlan);
 //   split-3D  the same with layer-aware routes and the cross-layer merge
-//             (Split3dPlan);
+//             (a GridPlan with layers > 1);
 //   Auto      the gathered AlgoCostInputs and the chosen backend, so
 //             iterated Algo::Auto calls skip the metadata re-gather — and
 //             when Auto picks SA-1D, the gathered AMeta is handed to the
@@ -21,7 +21,10 @@
 // execute() replays the cached program for any operand pair with matching
 // structure: only values move (value alltoallvs, value broadcasts, value
 // window gets), only numeric local passes run — bit-identical to the fresh
-// call, zero Phase::Plan seconds, zero metadata-collective bytes.
+// call, zero Phase::Plan seconds, zero metadata-collective bytes. Every
+// replay goes through replay_group, which runs a group of plans of one
+// backend through that backend's single executor with fused collectives;
+// execute() is a group of one.
 // spgemm_dist_cached() is the iterated-caller entry point (one collective
 // match vote per call decides replay-vs-rebuild, like spgemm_1d_cached).
 // DESIGN.md §8 documents the layer.
@@ -29,6 +32,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -147,8 +152,8 @@ class DistSpgemmPlan {
       case Algo::Auto: break;
       case Algo::SparseAware1D: break;  // replay is RDMA value gets only
       case Algo::Ring1D: bytes = ring_.replay_recv_bytes(); break;
-      case Algo::Summa2D: bytes = summa_.replay_recv_bytes(me_); break;
-      case Algo::Split3D: bytes = split3d_.replay_recv_bytes(me_); break;
+      case Algo::Summa2D:
+      case Algo::Split3D: bytes = grid_.replay_recv_bytes(me_); break;
     }
     return bytes + inverse_scatter_recv_bytes();
   }
@@ -174,8 +179,8 @@ class DistSpgemmPlan {
       case Algo::Auto: break;
       case Algo::SparseAware1D: bytes = sa1d_.bytes_resident(); break;
       case Algo::Ring1D: bytes = ring_.bytes_resident(); break;
-      case Algo::Summa2D: bytes = summa_.bytes_resident(); break;
-      case Algo::Split3D: bytes = split3d_.bytes_resident(); break;
+      case Algo::Summa2D:
+      case Algo::Split3D: bytes = grid_.bytes_resident(); break;
     }
     // Panel sub-plans carry the real residency of a panelized plan (the
     // parent's backend members stay empty); panel bounds are noise-level.
@@ -192,13 +197,27 @@ class DistSpgemmPlan {
     return bytes;
   }
 
-  /// Direct access to the chosen backend's cached program — the batched
-  /// executor (dist/batch_spgemm.hpp) drives the fused replays through
-  /// these. Valid only when chosen() names that backend.
-  [[nodiscard]] SpgemmPlan1D<VT, SR>& sa1d_plan() { return sa1d_; }
-  [[nodiscard]] RingPlan<VT, SR>& ring_plan() { return ring_; }
-  [[nodiscard]] Summa2dPlan<VT, SR>& summa_plan() { return summa_; }
-  [[nodiscard]] Split3dPlan<VT, SR>& split3d_plan() { return split3d_; }
+  /// The cached ring program (valid only when chosen() is Ring1D).
+  [[nodiscard]] const RingPlan<VT, SR>& ring_plan() const { return ring_; }
+
+  /// Key of the replay groups this plan may join: plans with equal
+  /// non-empty keys share a backend, grid shape and layer count, so
+  /// replay_group can run them together. Empty when the plan replays
+  /// alone: a panelized plan is a sequence of per-panel sub-plan replays,
+  /// and a windowed ring plan's fallback path does not fuse.
+  [[nodiscard]] std::string group_key() const {
+    if (!built_ || panels_ > 1) return {};
+    switch (chosen_) {
+      case Algo::Auto: break;
+      case Algo::SparseAware1D: return "sa1d";
+      case Algo::Ring1D: return ring_.windowed() ? std::string() : "ring1d";
+      case Algo::Summa2D:
+      case Algo::Split3D:
+        return std::string(algo_name(chosen_)) + ":" + std::to_string(grid_.layers) + ":" +
+               std::to_string(grid_.sched.grid_rows) + "x" + std::to_string(grid_.sched.grid_cols);
+    }
+    return {};
+  }
 
   /// The plan cache's eviction fallback: a Ring1D plan sheds its resident
   /// hop structures beyond a w-hop window (RingPlan::demote_to_window)
@@ -213,15 +232,6 @@ class DistSpgemmPlan {
     }
     ring_.demote_to_window(w);
     return ring_.windowed();
-  }
-
-  /// Reuse bookkeeping for a fused replay the batched executor ran through
-  /// the backend accessors above (it bypasses execute_verified, so the
-  /// counters are bumped here).
-  void record_batched_replay(Comm& comm) {
-    ++replays_;
-    ++comm.report().plan_replays[distdetail::algo_slot(chosen_)];
-    if (opt_.algo == Algo::Auto) ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
   }
 
   /// Exact rank-local reuse check: O(1) fields first, then the structure
@@ -376,11 +386,11 @@ class DistSpgemmPlan {
           return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_, ring_window);
         case Algo::Summa2D:
           return spgemm_summa_2d_dist<SR>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          &summa_, opt.grid_rows, opt.grid_cols, budgeted);
+                                          &grid_, opt.grid_rows, opt.grid_cols, budgeted);
         case Algo::Split3D:
           require_split3d_layers(comm.size(), lyr, "DistSpgemmPlan(Algo::Split3D)");
           return spgemm_split_3d_dist<SR>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
-                                          opt.sa1d.threads, &split3d_, opt.grid_rows,
+                                          opt.sa1d.threads, &grid_, opt.grid_rows,
                                           opt.grid_cols, budgeted);
       }
       require(false, "DistSpgemmPlan::build: unknown algorithm");
@@ -497,7 +507,7 @@ class DistSpgemmPlan {
     ++builds_;
     ++comm.report().plan_builds[distdetail::algo_slot(chosen_)];
     if (opt_.algo == Algo::Auto) ++comm.report().plan_builds[distdetail::algo_slot(Algo::Auto)];
-    fill_stats(stats, comm, before, /*reused=*/false);
+    fill_stats(stats, comm, before, /*reused=*/false, 0);
     if (stats != nullptr) stats->validation_failovers = failovers;
     return c;
   }
@@ -526,104 +536,169 @@ class DistSpgemmPlan {
 
   /// Executor without the O(nnz) hash re-check. Precondition: the operand
   /// pair was just verified against this plan (a successful collective
-  /// matches(), or the plan was built from these operands).
+  /// matches(), or the plan was built from these operands). A replay group
+  /// of one.
   DistMatrix1D<VT> execute_verified(Comm& comm, const DistMatrix1D<VT>& a,
                                     const DistMatrix1D<VT>& b,
                                     DistSpgemmStats* stats = nullptr) {
+    const Replay one{this, &a, &b, stats};
+    return std::move(replay_group(comm, std::span<const Replay>(&one, 1))[0]);
+  }
+
+  /// One member of a group replay: a built plan, the verified operand pair
+  /// it replays, and where its stats go (optional).
+  struct Replay {
+    DistSpgemmPlan* plan;
+    const DistMatrix1D<VT>* a;
+    const DistMatrix1D<VT>* b;
+    DistSpgemmStats* stats = nullptr;
+  };
+
+  /// The replay (collective): runs k built plans with equal non-empty
+  /// group_key() — or one plan of any kind — through their backend's single
+  /// executor, which fuses the group's collectives (one RDMA fetch wave for
+  /// SA-1D, one alltoallv per ring hop, one alltoallv per grid route and one
+  /// broadcast pair per SUMMA stage). Per member, in member order, it first
+  /// runs the ordering prologue (the value-hash vote and, when the values
+  /// changed, the forward value routes onto the permuted operands); after
+  /// the executor it runs the inverse scatter back to the caller's
+  /// ordering, the replay counters and the stats. Each member's result is
+  /// bit-identical to its fresh build whatever the group. Every member
+  /// reports the measurements of the whole group (its peak, comm time and
+  /// collective bytes), which are exact for a group of one. Precondition:
+  /// each member's operands were verified against its plan, and no plan
+  /// appears twice.
+  static std::vector<DistMatrix1D<VT>> replay_group(Comm& comm, std::span<const Replay> ms) {
+    const std::size_t k = ms.size();
+    if (k == 0) return {};
     // Structured (not a bare require): a rank whose operands diverged from
     // the verified plan must not enter the replay collectives while peers
     // do — comm.fail raises PlanMismatch machine-wide so every rank unwinds
-    // with the identical recoverable error, and spgemm_dist_cached's retry
-    // loop can rebuild.
-    if (!built_ || !fp_.quick_equals(detail1d::quick_fingerprint_of(a, b)))
-      comm.fail(FaultClass::PlanMismatch, "execute_verified",
-                "DistSpgemmPlan::execute_verified: operand/plan mismatch (rank " +
-                    std::to_string(comm.global_rank(comm.rank())) +
-                    "'s operand dims/nnz diverged from the plan fingerprint)");
+    // with the identical recoverable error, and the callers' retry loops
+    // can rebuild.
+    for (const auto& m : ms)
+      if (!m.plan->built_ || !m.plan->fp_.quick_equals(detail1d::quick_fingerprint_of(*m.a, *m.b)))
+        comm.fail(FaultClass::PlanMismatch, "execute_verified",
+                  "DistSpgemmPlan::execute_verified: operand/plan mismatch (rank " +
+                      std::to_string(comm.global_rank(comm.rank())) +
+                      "'s operand dims/nnz diverged from the plan fingerprint)");
     // Per-call high-water gauge: nested panel sub-plan replays roll up.
     MemGaugeScope gauge(comm.report());
     const RankReport before = comm.report();
-    last_partition_seconds_ = 0.0;  // replays never re-partition
-    last_reorder_bytes_ = 0;
-    const DistMatrix1D<VT>* ra = &a;
-    const DistMatrix1D<VT>* rb = &b;
-    if (ordering_ != Ordering::Identity) {
-      // The cached permuted operands already hold the right values when the
-      // caller's values are unchanged since they were filled (iterated
-      // squaring replays the same plan on the same matrix) — vote on the
-      // hash match through the uncounted control plane so the branch is
-      // rank-uniform, and only on a miss replay the value-only forward
-      // routes (the documented changed-values contract: nonzero reorder
-      // bytes, still zero partition work).
-      std::uint64_t ah, bh;
-      bool same_local;
-      {
-        auto ph = comm.phase(Phase::Reorder);
-        ah = distdetail::value_hash(a.local());
-        bh = pb_aliases_pa_ ? ah : distdetail::value_hash(b.local());
-        same_local = ah == a_val_hash_ && bh == b_val_hash_;
-      }
-      bool same = true;
-      for (const auto& v : comm.exchange_control(same_local ? "1" : "0"))
-        if (v == "0") same = false;
-      if (!same) {
-        const RankReport br = comm.report();
-        permute_symmetric_replay(comm, a, route_a_, pa_);
-        if (!pb_aliases_pa_) permute_symmetric_replay(comm, b, route_b_, pb_);
-        a_val_hash_ = ah;
-        b_val_hash_ = bh;
-        last_reorder_bytes_ =
-            comm.report().coll_bytes_received() - br.coll_bytes_received();
-      }
-      ra = &pa_;
-      rb = pb_aliases_pa_ ? &pa_ : &pb_;
-    }
-    DistMatrix1D<VT> c;
-    const bool budgeted = opt_.max_peak_triples > 0;
-    if (panels_ > 1) {
-      // Panelized replay: recompute each panel's B restriction (values are
-      // this call's — the restriction copies them) and replay its sub-plan
-      // in ascending panel order; concatenation order is deterministic, so
-      // the result is bit-identical to the monolithic replay.
-      std::vector<DistMatrix1D<VT>> outs;
-      outs.reserve(panel_plans_.size());
-      for (std::size_t pi = 0; pi < panel_plans_.size(); ++pi) {
-        auto bp = restrict_columns(*rb, panel_bounds_[pi], panel_bounds_[pi + 1]);
-        outs.push_back(panel_plans_[pi]->execute_verified(comm, *ra, bp));
-      }
-      auto ph = comm.phase(Phase::Other);
-      c = concat_column_panels(outs);
+
+    std::vector<std::pair<const DistMatrix1D<VT>*, const DistMatrix1D<VT>*>> ops;
+    ops.reserve(k);
+    for (const auto& m : ms) ops.push_back(m.plan->ordered_operands(comm, *m.a, *m.b));
+
+    DistSpgemmPlan& p0 = *ms[0].plan;
+    std::vector<DistMatrix1D<VT>> cs;
+    if (p0.panels_ > 1) {
+      require(k == 1, "DistSpgemmPlan::replay_group: a panelized plan replays alone");
+      cs.push_back(p0.replay_panels(comm, *ops[0].first, *ops[0].second));
     } else {
-      switch (chosen_) {
+      switch (p0.chosen_) {
         case Algo::Auto: break;  // unreachable: build resolved the dispatch
-        case Algo::SparseAware1D:
-          c = sa1d_.execute_verified(comm, *ra, *rb);
+        case Algo::SparseAware1D: {
+          std::vector<typename SpgemmPlan1D<VT, SR>::Replay> rs;
+          for (std::size_t m = 0; m < k; ++m)
+            rs.push_back({&ms[m].plan->sa1d_, ops[m].first, ops[m].second});
+          cs = SpgemmPlan1D<VT, SR>::replay(comm, rs);
           break;
-        case Algo::Ring1D:
-          c = spgemm_naive_ring_1d_replay<SR>(comm, ring_, *ra, *rb);
+        }
+        case Algo::Ring1D: {
+          std::vector<RingReplay<VT, SR>> rs;
+          for (std::size_t m = 0; m < k; ++m)
+            rs.push_back({&ms[m].plan->ring_, ops[m].first, ops[m].second});
+          cs = spgemm_naive_ring_1d_replay<SR, VT>(comm, rs);
           break;
+        }
         case Algo::Summa2D:
-          c = spgemm_summa_2d_replay<SR>(comm, summa_, *ra, *rb, budgeted);
+        case Algo::Split3D: {
+          std::vector<GridReplay<VT, SR>> rs;
+          for (std::size_t m = 0; m < k; ++m)
+            rs.push_back({&ms[m].plan->grid_, ops[m].first, ops[m].second});
+          cs = spgemm_grid_replay<SR, VT>(comm, rs, p0.opt_.max_peak_triples > 0);
           break;
-        case Algo::Split3D:
-          c = spgemm_split_3d_replay<SR>(comm, split3d_, *ra, *rb, budgeted);
-          break;
+        }
       }
     }
-    if (ordering_ != Ordering::Identity) {
-      // Value-only inverse scatter through the cached route: C comes back
-      // in the caller's ordering. Regular execution comm, not reorder.
-      permute_symmetric_replay(comm, c, route_c_inv_, c_tmpl_);
-      c = c_tmpl_;
+
+    std::uint64_t value_payload = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      DistSpgemmPlan& p = *ms[m].plan;
+      if (p.ordering_ != Ordering::Identity) {
+        // Value-only inverse scatter through the cached route: C comes back
+        // in the caller's ordering. Regular execution comm, not reorder.
+        permute_symmetric_replay(comm, cs[m], p.route_c_inv_, p.c_tmpl_);
+        cs[m] = p.c_tmpl_;
+      }
+      ++p.replays_;
+      ++comm.report().plan_replays[distdetail::algo_slot(p.chosen_)];
+      if (p.opt_.algo == Algo::Auto)
+        ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
+      // A reused ordered plan's value traffic includes the inverse scatter
+      // (inside replay_coll_recv_bytes) and, when operand values changed,
+      // the forward value routes (the measured reorder bytes) — neither is
+      // structural metadata.
+      value_payload += p.replay_coll_recv_bytes() + p.last_reorder_bytes_;
     }
-    ++replays_;
-    ++comm.report().plan_replays[distdetail::algo_slot(chosen_)];
-    if (opt_.algo == Algo::Auto) ++comm.report().plan_replays[distdetail::algo_slot(Algo::Auto)];
-    fill_stats(stats, comm, before, /*reused=*/true);
-    return c;
+    for (const auto& m : ms)
+      m.plan->fill_stats(m.stats, comm, before, /*reused=*/true, value_payload);
+    return cs;
   }
 
  private:
+  /// Ordering prologue of a replay: the operands the backend program runs
+  /// on. An ordered plan's cached permuted operands already hold the right
+  /// values when the caller's values are unchanged since they were filled
+  /// (iterated squaring replays the same plan on the same matrix) — vote on
+  /// the hash match through the uncounted control plane so the branch is
+  /// rank-uniform, and only on a miss replay the value-only forward routes
+  /// (the documented changed-values contract: nonzero reorder bytes, still
+  /// zero partition work).
+  std::pair<const DistMatrix1D<VT>*, const DistMatrix1D<VT>*> ordered_operands(
+      Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b) {
+    last_partition_seconds_ = 0.0;  // replays never re-partition
+    last_reorder_bytes_ = 0;
+    if (ordering_ == Ordering::Identity) return {&a, &b};
+    std::uint64_t ah, bh;
+    bool same_local;
+    {
+      auto ph = comm.phase(Phase::Reorder);
+      ah = distdetail::value_hash(a.local());
+      bh = pb_aliases_pa_ ? ah : distdetail::value_hash(b.local());
+      same_local = ah == a_val_hash_ && bh == b_val_hash_;
+    }
+    bool same = true;
+    for (const auto& v : comm.exchange_control(same_local ? "1" : "0"))
+      if (v == "0") same = false;
+    if (!same) {
+      const RankReport br = comm.report();
+      permute_symmetric_replay(comm, a, route_a_, pa_);
+      if (!pb_aliases_pa_) permute_symmetric_replay(comm, b, route_b_, pb_);
+      a_val_hash_ = ah;
+      b_val_hash_ = bh;
+      last_reorder_bytes_ = comm.report().coll_bytes_received() - br.coll_bytes_received();
+    }
+    return {&pa_, pb_aliases_pa_ ? &pa_ : &pb_};
+  }
+
+  /// Panelized replay: recompute each panel's B restriction (values are
+  /// this call's — the restriction copies them) and replay its sub-plan in
+  /// ascending panel order; concatenation order is deterministic, so the
+  /// result is bit-identical to the monolithic replay.
+  DistMatrix1D<VT> replay_panels(Comm& comm, const DistMatrix1D<VT>& a,
+                                 const DistMatrix1D<VT>& b) const {
+    std::vector<DistMatrix1D<VT>> outs;
+    outs.reserve(panel_plans_.size());
+    for (std::size_t pi = 0; pi < panel_plans_.size(); ++pi) {
+      auto bp = restrict_columns(b, panel_bounds_[pi], panel_bounds_[pi + 1]);
+      outs.push_back(panel_plans_[pi]->execute_verified(comm, a, bp));
+    }
+    auto ph = comm.phase(Phase::Other);
+    return concat_column_panels(outs);
+  }
+
   /// Clears plan state but keeps the lifetime build/replay counters.
   void reset_keep_counters() {
     const int b = builds_, r = replays_;
@@ -632,8 +707,11 @@ class DistSpgemmPlan {
     replays_ = r;
   }
 
-  void fill_stats(DistSpgemmStats* stats, Comm& comm, const RankReport& before,
-                  bool reused) const {
+  /// `value_payload`: the collective value bytes the measured window was
+  /// expected to receive (zero for a build); anything beyond it is
+  /// structural metadata.
+  void fill_stats(DistSpgemmStats* stats, Comm& comm, const RankReport& before, bool reused,
+                  std::uint64_t value_payload) const {
     if (stats == nullptr) return;
     *stats = DistSpgemmStats{};
     stats->requested = opt_.algo;
@@ -666,12 +744,6 @@ class DistSpgemmPlan {
     stats->comm_hidden_s = after.overlap_s - before.overlap_s;
     stats->coll_recv_bytes = (after.bytes_network() - after.rdma_bytes) -
                              (before.bytes_network() - before.rdma_bytes);
-    // A reused ordered plan's value traffic includes the inverse scatter
-    // (inside replay_coll_recv_bytes) and, when operand values changed, the
-    // forward value routes (the measured reorder bytes) — neither is
-    // structural metadata.
-    const std::uint64_t value_payload =
-        reused ? replay_coll_recv_bytes() + last_reorder_bytes_ : 0;
     stats->meta_coll_bytes =
         stats->coll_recv_bytes > value_payload ? stats->coll_recv_bytes - value_payload : 0;
   }
@@ -710,11 +782,11 @@ class DistSpgemmPlan {
   double last_partition_seconds_ = 0.0;
   std::uint64_t last_reorder_bytes_ = 0;
 
-  // Exactly one of these is populated, per chosen_.
+  // Exactly one of these is populated, per chosen_ (grid_ serves both
+  // SUMMA-2D and Split-3D).
   SpgemmPlan1D<VT, SR> sa1d_;
   RingPlan<VT, SR> ring_;
-  Summa2dPlan<VT, SR> summa_;
-  Split3dPlan<VT, SR> split3d_;
+  GridPlan<VT, SR> grid_;
 
   // Panelized plans (panels_ > 1, DESIGN.md §13): the backend members above
   // stay empty and each panel's replay program lives in its own sub-plan

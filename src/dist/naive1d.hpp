@@ -377,80 +377,121 @@ DistMatrix1D<VT> ring_replay_windowed(Comm& comm, RingPlan<VT, SR>& plan,
 
 }  // namespace ringdetail
 
-/// Replays a captured ring plan for a structurally identical operand pair:
-/// the (P-1) hop shifts carry bare value arrays, the per-hop multiplies run
-/// against the cached slice structures, and the partials ⊕-fold through the
-/// cached merge program. Bit-identical to the fresh call; zero Phase::Plan
-/// time, no structural metadata moved. Collective. A demoted (windowed) plan
-/// takes the ring_replay_windowed path instead.
+/// One member of a ring replay: a captured plan and the operand pair it
+/// replays.
+template <typename VT, typename SR>
+struct RingReplay {
+  RingPlan<VT, SR>* plan;
+  const DistMatrix1D<VT>* a;
+  const DistMatrix1D<VT>* b;
+};
+
+/// Replays k captured ring plans for structurally identical operand pairs,
+/// one plan per member (a single member is the sequential replay). Each of
+/// the (P-1) hop shifts is ONE alltoallv whose successor chunk is the
+/// member-major concatenation of every member's circulating value array —
+/// (P-1) messages per rank for the whole group instead of k·(P-1). Each
+/// member multiplies its own span of the chunk against its cached hop
+/// structure and ⊕-folds through its cached merge program with its own flat
+/// counter, so every result is bit-identical to the fresh call; zero
+/// Phase::Plan time, no structural metadata moved. The hop shift is posted
+/// before the multiplies, which read the request's stable view of the
+/// outgoing chunk. A windowed plan (RingPlan::windowed()) replays alone
+/// through ring_replay_windowed. Collective.
 template <typename SR, typename VT>
-DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
-                                             const DistMatrix1D<VT>& a,
-                                             const DistMatrix1D<VT>& b) {
-  if (plan.windowed()) return ringdetail::ring_replay_windowed<SR, VT>(comm, plan, a, b);
+std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
+    Comm& comm, std::span<const RingReplay<VT, SR>> ms) {
+  std::vector<DistMatrix1D<VT>> out;
+  if (ms.empty()) return out;
+  if (ms.front().plan->windowed()) {
+    require(ms.size() == 1, "spgemm_naive_ring_1d_replay: a windowed ring plan replays alone");
+    out.push_back(ringdetail::ring_replay_windowed<SR, VT>(comm, *ms[0].plan, *ms[0].a,
+                                                           *ms[0].b));
+    return out;
+  }
   const int P = comm.size();
   const int me = comm.rank();
+  const std::size_t k = ms.size();
   auto& rep = comm.report();
-  std::vector<VT> circ_vals;
+  auto hop_nnz = [&](std::size_t m, int step) {
+    return static_cast<std::size_t>(ms[m].plan->hops[static_cast<std::size_t>(step)].nnz);
+  };
+  // Replay guard: the circulating values must match the cached hop
+  // structures (their column ranges index into them); a diverged slice —
+  // this rank's own A at step 0, a mis-sized shift afterwards — raises
+  // machine-wide instead of reading out of range.
+  auto guard = [&](std::size_t have, std::size_t need, int step) {
+    if (have != need)
+      comm.fail(FaultClass::PlanMismatch, "ring_replay",
+                "spgemm_naive_ring_1d_replay: hop " + std::to_string(step) + " carries " +
+                    std::to_string(have) + " values where the cached slice structures hold " +
+                    std::to_string(need) + " (rank " +
+                    std::to_string(comm.global_rank(comm.rank())) + ")");
+  };
+
+  std::vector<VT> circ;
   {
     auto ph = comm.phase(Phase::Other);
-    circ_vals = a.local().vals();
-    plan.acc_vals.assign(plan.acc_nnz, VT{});
+    for (std::size_t m = 0; m < k; ++m) {
+      auto& plan = *ms[m].plan;
+      const auto& av = ms[m].a->local().vals();
+      guard(av.size(), hop_nnz(m, 0), 0);
+      circ.insert(circ.end(), av.begin(), av.end());
+      plan.acc_vals.assign(plan.acc_nnz, VT{});
+    }
   }
-  rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
+  rep.mem_charge(circ.size(), circ.size() * sizeof(VT));
 
-  const auto& bl = b.local();
   const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
-  std::size_t flat = 0;
+  std::vector<std::size_t> flat(k, 0);
   for (int step = 0; step < P; ++step) {
-    // Same shift structure as the fresh call: post the hop, then multiply
-    // from the request's view of the outgoing value array.
     std::optional<AlltoallvRequest<VT>> shift;
-    std::span<const VT> cv(circ_vals);
+    std::span<const VT> cv(circ);
     if (step + 1 < P) {
       std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
       {
         auto ph = comm.phase(Phase::Other);
-        send[static_cast<std::size_t>(succ)] = std::move(circ_vals);
+        send[static_cast<std::size_t>(succ)] = std::move(circ);
       }
       shift.emplace(comm.ialltoallv(std::move(send)));
       cv = shift->sent_chunk(succ);
     }
     {
       auto ph = comm.phase(Phase::Comp);
-      const auto& hop = plan.hops[static_cast<std::size_t>(step)];
-      // Replay guard: the circulating value array must match the cached hop
-      // structure (its column ranges index into it); a diverged slice —
-      // this rank's own A at step 0, a mis-sized shift afterwards — raises
-      // machine-wide instead of reading out of range.
-      if (cv.size() != static_cast<std::size_t>(hop.nnz))
-        comm.fail(FaultClass::PlanMismatch, "ring_replay",
-                  "spgemm_naive_ring_1d_replay: hop " + std::to_string(step) + " carries " +
-                      std::to_string(cv.size()) + " values where the cached slice "
-                      "structure holds " + std::to_string(hop.nnz) + " (rank " +
-                      std::to_string(comm.global_rank(comm.rank())) + ")");
-      for (index_t j = 0; j < bl.nzc(); ++j) {
-        auto brows = bl.col_rows_at(j);
-        auto bvals = bl.col_vals_at(j);
-        for (std::size_t p = 0; p < brows.size(); ++p) {
-          auto it = std::lower_bound(hop.gcol_ids.begin(), hop.gcol_ids.end(), brows[p]);
-          if (it == hop.gcol_ids.end() || *it != brows[p]) continue;
-          auto kpos = static_cast<std::size_t>(it - hop.gcol_ids.begin());
-          for (std::size_t q = hop.starts[kpos]; q < hop.starts[kpos + 1]; ++q) {
-            const VT v = SR::multiply(cv[q], bvals[p]);
-            const auto slot = static_cast<std::size_t>(plan.acc_dst[flat]);
-            plan.acc_vals[slot] =
-                plan.acc_first[flat] != 0 ? v : SR::add(plan.acc_vals[slot], v);
-            ++flat;
+      std::size_t off = 0;
+      for (std::size_t m = 0; m < k; ++m) {
+        auto& plan = *ms[m].plan;
+        const auto& hop = plan.hops[static_cast<std::size_t>(step)];
+        const auto mv = cv.subspan(off, hop_nnz(m, step));
+        off += mv.size();
+        const auto& bl = ms[m].b->local();
+        std::size_t& fl = flat[m];
+        for (index_t j = 0; j < bl.nzc(); ++j) {
+          auto brows = bl.col_rows_at(j);
+          auto bvals = bl.col_vals_at(j);
+          for (std::size_t p = 0; p < brows.size(); ++p) {
+            auto it = std::lower_bound(hop.gcol_ids.begin(), hop.gcol_ids.end(), brows[p]);
+            if (it == hop.gcol_ids.end() || *it != brows[p]) continue;
+            auto kpos = static_cast<std::size_t>(it - hop.gcol_ids.begin());
+            for (std::size_t q = hop.starts[kpos]; q < hop.starts[kpos + 1]; ++q) {
+              const VT v = SR::multiply(mv[q], bvals[p]);
+              const auto slot = static_cast<std::size_t>(plan.acc_dst[fl]);
+              plan.acc_vals[slot] =
+                  plan.acc_first[fl] != 0 ? v : SR::add(plan.acc_vals[slot], v);
+              ++fl;
+            }
           }
         }
       }
     }
     if (shift.has_value()) {
       const std::uint64_t outgoing = cv.size();
-      circ_vals = shift->take_from(pred);
+      circ = shift->take_from(pred);
       shift->wait();
-      rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
+      std::size_t need = 0;
+      for (std::size_t m = 0; m < k; ++m) need += hop_nnz(m, step + 1);
+      guard(circ.size(), need, step + 1);
+      rep.mem_charge(circ.size(), circ.size() * sizeof(VT));
       rep.mem_release(outgoing, outgoing * sizeof(VT));
     } else {
       rep.mem_release(cv.size(), cv.size() * sizeof(VT));  // last hop
@@ -458,9 +499,15 @@ DistMatrix1D<VT> spgemm_naive_ring_1d_replay(Comm& comm, RingPlan<VT, SR>& plan,
   }
 
   auto ph = comm.phase(Phase::Other);
-  DcscMatrix<VT> c_local = plan.c_shell;
-  c_local.mutable_vals() = plan.acc_vals;
-  return DistMatrix1D<VT>(a.nrows(), b.ncols(), b.bounds(), me, std::move(c_local));
+  out.reserve(k);
+  for (std::size_t m = 0; m < k; ++m) {
+    auto& plan = *ms[m].plan;
+    DcscMatrix<VT> c_local = plan.c_shell;
+    c_local.mutable_vals() = plan.acc_vals;
+    out.emplace_back(ms[m].a->nrows(), ms[m].b->ncols(), ms[m].b->bounds(), me,
+                     std::move(c_local));
+  }
+  return out;
 }
 
 }  // namespace sa1d

@@ -8,9 +8,9 @@
 // it lands in the receiver's block, depends only on the operands' sparsity
 // structure. Passing a GridRoute/ScatterRoute capture pointer records the
 // value-gather maps and the receiver-side placement/merge program while the
-// fresh call runs; replay_* then re-executes the same exchange moving only
-// values (sizeof(VT) per element instead of a full Triple), bit-identical
-// to the fresh result. DistSpgemmPlan (dist/dist_plan.hpp) builds on this.
+// fresh call runs; spgemm_grid_replay (dist/summa2d.hpp) then re-executes
+// the same exchanges moving only values (sizeof(VT) per element instead of
+// a full Triple), bit-identical to the fresh result.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +68,7 @@ inline void require_split3d_layers(int P, int layers, const char* who) {
 
 /// Cached 1D→grid route: the structural half of one
 /// redistribute_1d_to_2d_grid call, captured while the fresh exchange runs.
-/// replay_1d_to_2d_grid re-executes it moving only values.
+/// spgemm_grid_replay re-executes it moving only values.
 template <typename VT>
 struct GridRoute {
   /// Per destination rank: positions into the local slice's val array, in
@@ -191,60 +191,10 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
   return out;
 }
 
-/// Replays a captured 1D→grid route for a structurally identical operand:
-/// one value-only all-to-all, written in place into the cached block.
-/// Collective; returns the refreshed block (owned by the route).
-template <typename VT>
-CscMatrix<VT>& replay_1d_to_2d_grid(Comm& comm, GridRoute<VT>& route,
-                                    const DistMatrix1D<VT>& m) {
-  const int P = comm.size();
-  std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-  {
-    auto ph = comm.phase(Phase::Other);
-    // Replay guard: the cached positions index the local val array the
-    // route was captured on (the capture packed every local triple, so the
-    // per-destination sizes sum to that array's length). A diverged operand
-    // must raise machine-wide, not read out of range while peers proceed.
-    std::size_t expect = 0;
-    for (const auto& src : route.send_src) expect += src.size();
-    if (m.local().vals().size() != expect)
-      comm.fail(FaultClass::PlanMismatch, "replay_1d_to_2d_grid",
-                "replay_1d_to_2d_grid: local operand has " +
-                    std::to_string(m.local().vals().size()) +
-                    " values but the cached route packs " + std::to_string(expect) +
-                    " (rank " + std::to_string(comm.global_rank(comm.rank())) + ")");
-    const VT* vals = m.local().vals().data();
-    for (int p = 0; p < P; ++p) {
-      const auto& src = route.send_src[static_cast<std::size_t>(p)];
-      auto& out = send[static_cast<std::size_t>(p)];
-      out.reserve(src.size());
-      for (auto i : src) out.push_back(vals[static_cast<std::size_t>(i)]);
-    }
-  }
-  auto scatter_chunk = [&](int p, const std::vector<VT>& chunk, std::size_t& flat) {
-    if (chunk.size() != static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]))
-      comm.fail(FaultClass::PlanMismatch, "replay_1d_to_2d_grid",
-                "replay_1d_to_2d_grid: received " + std::to_string(chunk.size()) +
-                    " values from rank " + std::to_string(comm.global_rank(p)) +
-                    " where the cached route expects " +
-                    std::to_string(route.recv_counts[static_cast<std::size_t>(p)]));
-    VT* bv = route.block.mutable_vals().data();
-    for (const auto& v : chunk) bv[static_cast<std::size_t>(route.recv_place[flat++])] = v;
-  };
-  // Pipelined scatter: chunks land in the cached block as each source
-  // publishes, in ascending rank order (slots are disjoint, so order only
-  // matters for matching the captured flat indexing).
-  std::size_t flat = 0;
-  auto req = comm.ialltoallv(std::move(send));
-  auto ph = comm.phase(Phase::Other);
-  for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p), flat);
-  return route.block;
-}
-
 /// Cached partial-C→1D scatter/merge program: the structural half of one
 /// redistribute_coo_to_1d call (which partial goes to which rank, and which
 /// slot of the merged 1D slice it ⊕-folds into), captured while the fresh
-/// exchange runs. replay_coo_to_1d re-executes it moving only values.
+/// exchange runs. spgemm_grid_replay re-executes it moving only values.
 template <typename VT>
 struct ScatterRoute {
   std::vector<std::vector<index_t>> send_src;  ///< per dest: positions in the partial's val order
@@ -357,51 +307,6 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
     route->out_bounds = out_bounds;
   }
   return DistMatrix1D<VT>(nrows, ncols, std::move(out_bounds), comm.rank(),
-                          std::move(c_local));
-}
-
-/// Replays a captured scatter/merge program over fresh partial values
-/// (`part_vals` in the captured partial's val order): one value-only
-/// all-to-all, ⊕-folded into a copy of the cached 1D structure. Collective.
-template <typename SR, typename VT>
-DistMatrix1D<VT> replay_coo_to_1d(Comm& comm, const ScatterRoute<VT>& route,
-                                  std::span<const VT> part_vals) {
-  const int P = comm.size();
-  std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-  {
-    auto ph = comm.phase(Phase::Other);
-    for (int p = 0; p < P; ++p) {
-      const auto& src = route.send_src[static_cast<std::size_t>(p)];
-      auto& out = send[static_cast<std::size_t>(p)];
-      out.reserve(src.size());
-      for (auto i : src) out.push_back(part_vals[static_cast<std::size_t>(i)]);
-    }
-  }
-  auto fold_chunk = [&](int p, const std::vector<VT>& chunk, VT* cv, std::size_t& flat) {
-    if (chunk.size() != static_cast<std::size_t>(route.recv_counts[static_cast<std::size_t>(p)]))
-      comm.fail(FaultClass::PlanMismatch, "replay_coo_to_1d",
-                "replay_coo_to_1d: received " + std::to_string(chunk.size()) +
-                    " partial values from rank " + std::to_string(comm.global_rank(p)) +
-                    " where the cached scatter program expects " +
-                    std::to_string(route.recv_counts[static_cast<std::size_t>(p)]));
-    for (const auto& v : chunk) {
-      const auto slot = static_cast<std::size_t>(route.recv_dst[flat]);
-      cv[slot] = route.recv_first[flat] != 0 ? v : SR::add(cv[slot], v);
-      ++flat;
-    }
-  };
-  // Pipelined ⊕-fold: partial-C chunks fold into the shell as each source
-  // publishes. Consuming in ascending rank order preserves the captured
-  // program's flat (rank-major) fold order, so a non-commutative or
-  // non-associative ⊕ still reproduces the fresh result bit for bit; the
-  // structure-copy of the shell runs while chunks are in flight.
-  std::size_t flat = 0;
-  auto req = comm.ialltoallv(std::move(send));
-  auto ph = comm.phase(Phase::Other);
-  DcscMatrix<VT> c_local = route.c_shell;
-  VT* cv = c_local.mutable_vals().data();
-  for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p), cv, flat);
-  return DistMatrix1D<VT>(route.nrows, route.ncols, route.out_bounds, comm.rank(),
                           std::move(c_local));
 }
 

@@ -8,7 +8,8 @@
 // distribution (the "split" reduction) — one all-to-all, no rank-0 gather.
 // Operands arrive 1D-distributed and are routed straight to their
 // (layer, grid) owners: each nonzero has exactly one target, so the inbound
-// redistribution is also a single all-to-all per operand.
+// redistribution is also a single all-to-all per operand. The captured
+// program is a GridPlan with `layers` > 1; spgemm_grid_replay replays it.
 #pragma once
 
 #include <cstdint>
@@ -19,31 +20,6 @@
 #include "dist/summa2d.hpp"
 
 namespace sa1d {
-
-/// Cached structural program of one full Split-3D multiply on this rank:
-/// both inbound (layer, grid)-routes, the layer's stage schedule (which
-/// remembers its q_r × q_c grid), and the cross-layer scatter/merge
-/// program. Captured by spgemm_split_3d_dist, replayed (values only) by
-/// spgemm_split_3d_replay.
-template <typename VT, typename SR>
-struct Split3dPlan {
-  int layers = 1;
-  GridRoute<VT> route_a, route_b;
-  summadetail::SummaSched<VT, SR> sched;
-  ScatterRoute<VT> out;
-  std::vector<VT> acc_vals;  ///< replay scratch: this layer's merged partials
-
-  [[nodiscard]] std::uint64_t replay_recv_bytes(int me) const {
-    return route_a.replay_recv_bytes(me) + route_b.replay_recv_bytes(me) +
-           sched.bcast_recv_bytes + out.replay_recv_bytes(me);
-  }
-
-  /// Byte-accurate residency of the full cached program on this rank.
-  [[nodiscard]] std::uint64_t bytes_resident() const {
-    return route_a.bytes_resident() + route_b.bytes_resident() + sched.bytes_resident() +
-           out.bytes_resident() + acc_vals.size() * sizeof(VT);
-  }
-};
 
 /// Split-3D SpGEMM over 1D-distributed operands. Collective; requires only
 /// that `layers` divides P (require_split3d_layers lists the valid counts
@@ -56,7 +32,7 @@ template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_split_3d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b, int layers,
     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
-    std::type_identity_t<Split3dPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
+    std::type_identity_t<GridPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
     int grid_rows = 0, int grid_cols = 0, bool budgeted = false) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_split_3d_dist: inner dimension mismatch");
@@ -138,42 +114,6 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
   comm.report().mem_release(acc.triples().size(),
                             acc.triples().size() * sizeof(Triple<VT>));
   return c;
-}
-
-/// Replays a captured Split-3D plan for a structurally identical operand
-/// pair: value-only routes in, value-only stage broadcasts + numeric local
-/// passes on this rank's layer, value-only cross-layer scatter out.
-/// Bit-identical to the fresh call; records zero Phase::Plan time and moves
-/// no structural metadata. Collective.
-template <typename SR, typename VT>
-DistMatrix1D<VT> spgemm_split_3d_replay(Comm& comm, Split3dPlan<VT, SR>& plan,
-                                        const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                        bool budgeted = false) {
-  const int q2 = comm.size() / plan.layers;
-  const int layer = comm.rank() / q2;
-  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a);
-  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b);
-  Comm layer_comm = comm.split(layer, comm.rank());
-  summadetail::summa_stages_replay<SR>(layer_comm, my_a, my_b, plan.sched, plan.acc_vals,
-                                       budgeted);
-  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals));
-}
-
-/// Replicated-operand wrapper (the original baseline API): distributes the
-/// globals, runs the 1D-in/1D-out Split-3D, and returns this rank's C
-/// column slice as COO in global coordinates — gather_coo() reassembles.
-/// Layer partials are already merged, so the COO parts are disjoint.
-template <typename VT>
-CooMatrix<VT> spgemm_split_3d(Comm& comm, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                              int layers, LocalKernel kernel = LocalKernel::Hybrid,
-                              int threads = 1) {
-  require(a.ncols() == b.nrows(), "spgemm_split_3d: inner dimension mismatch");
-  require_split3d_layers(comm.size(), layers, "spgemm_split_3d");
-  auto da = DistMatrix1D<VT>::from_global(comm, a);
-  auto db = DistMatrix1D<VT>::from_global(comm, b);
-  auto dc = spgemm_split_3d_dist(comm, da, db, layers, kernel, threads);
-  auto ph = comm.phase(Phase::Other);
-  return dc.local_to_coo_global();
 }
 
 }  // namespace sa1d

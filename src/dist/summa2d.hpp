@@ -14,12 +14,15 @@
 // scattered back into B's column distribution with a semiring-⊕ merge — no
 // global gather anywhere, and every byte moves through Phase-scoped,
 // instrumented collectives so the RankReport breakdown is comparable with
-// the other spgemm_dist backends. The replicated-operand wrapper of the
-// original baseline API remains for one-shot comparisons.
+// the other spgemm_dist backends. A captured GridPlan replays the whole
+// multiply moving values only (spgemm_grid_replay), for one plan or a fused
+// group of them.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -31,19 +34,6 @@
 
 namespace sa1d {
 
-/// Reassembles a replicated CSC matrix from per-rank partial COO blocks
-/// (global coordinates); duplicates across ranks are merged by addition.
-/// Collective.
-template <typename VT>
-CscMatrix<VT> gather_coo(Comm& comm, const CooMatrix<VT>& part) {
-  auto chunks = comm.allgatherv(std::span<const Triple<VT>>(part.triples()));
-  CooMatrix<VT> all(part.nrows(), part.ncols());
-  for (auto& chunk : chunks)
-    for (auto& t : chunk) all.push(t.row, t.col, t.val);
-  all.canonicalize();
-  return CscMatrix<VT>::from_coo(all);
-}
-
 namespace summadetail {
 
 /// Cached SUMMA stage schedule of one rank on its q_r × q_c grid: per
@@ -52,7 +42,7 @@ namespace summadetail {
 /// A-column span; a B row-filter gather map), the local engine's symbolic
 /// result with warm workspaces, and the ⊕-fold program from the stage's
 /// partial-C values into the merged per-rank accumulator. Captured by
-/// summa_stages while the fresh loop runs; summa_stages_replay moves only
+/// summa_stages while the fresh loop runs; spgemm_grid_replay moves only
 /// values (row/column broadcasts of bare val arrays) and runs numeric-only
 /// local passes.
 template <typename VT, typename SR>
@@ -102,8 +92,8 @@ CscMatrix<VT> csc_from_block(index_t nrows, index_t ncols, std::vector<Triple<VT
   return CscMatrix<VT>::from_coo(CooMatrix<VT>(nrows, ncols, std::move(triples)));
 }
 
-/// The windowed post/drain loop every SUMMA stage pipeline runs (fresh,
-/// replay, and the batched fused replay): stage k's root-side payloads are
+/// The windowed post/drain loop every SUMMA stage pipeline runs (fresh and
+/// replay): stage k's root-side payloads are
 /// extracted by `extract(k, abuf, bbuf)` (Phase::Other) and broadcast
 /// nonblocking along the row team (A, root grid column k/spc) and the column
 /// team (B, root grid row k/spr) a window of stages before `run(k, abuf,
@@ -330,93 +320,22 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   if (sched != nullptr) sched->acc_nnz = acc.triples().size();
 }
 
-/// Replays a captured stage schedule: per stage, value-only row/column
-/// broadcasts (the roots gather from their pieces through the recorded
-/// span/map) into the cached block shells, the numeric-only local pass,
-/// and the ⊕-fold into `acc_vals` (resized to the merged count; slot order
-/// matches the fresh call's merged accumulator). Collective over the same
-/// grid communicator the schedule was captured on.
-template <typename SR, typename VT>
-void summa_stages_replay(Comm& comm, const CscMatrix<VT>& my_a, const CscMatrix<VT>& my_b,
-                         SummaSched<VT, SR>& sched, std::vector<VT>& acc_vals,
-                         bool budgeted = false) {
-  const int s = static_cast<int>(sched.stages.size());
-  const int spc = s / sched.grid_cols;
-  const int spr = s / sched.grid_rows;
-  const int gi = comm.rank() / sched.grid_cols;
-  const int gj = comm.rank() % sched.grid_cols;
-  Comm row_comm = comm.split(gi, gj);
-  Comm col_comm = comm.split(gj, gi);
-
-  auto& rep = comm.report();
-  acc_vals.assign(sched.acc_nnz, VT{});
-  std::size_t flat = 0;
-
-  // Root-side value gathers for stage k (contiguous A span; B index map).
-  auto extract = [&](int k, std::vector<VT>& abuf, std::vector<VT>& bbuf) {
-    auto& st = sched.stages[static_cast<std::size_t>(k)];
-    if (gj == k / spc)
-      abuf.assign(my_a.vals().begin() + st.a_val_lo, my_a.vals().begin() + st.a_val_hi);
-    if (gi == k / spr) {
-      bbuf.reserve(st.b_src.size());
-      const VT* bv = my_b.vals().data();
-      for (auto i : st.b_src) bbuf.push_back(bv[static_cast<std::size_t>(i)]);
-    }
-  };
-
-  // Post-broadcast stage body: guard, shell fill, numeric pass, ⊕-fold in
-  // ascending stage order — the captured fold program's order.
-  auto run_stage = [&](int k, std::vector<VT> abuf, std::vector<VT> bbuf) {
-    auto& st = sched.stages[static_cast<std::size_t>(k)];
-    // Value-only staging (charged by pipeline_stages, element-equivalents):
-    // dies when the values move into the cached shells below.
-    const std::uint64_t payload = abuf.size() + bbuf.size();
-    CscMatrix<VT> c_blk;
-    {
-      auto ph = comm.phase(Phase::Other);
-      // Replay guard: the broadcast value arrays must fill the cached stage
-      // shells exactly; a diverged root operand raises machine-wide instead
-      // of running the numeric pass on a torn block.
-      if (abuf.size() != st.a_blk.vals().size() || bbuf.size() != st.b_blk.vals().size())
-        comm.fail(FaultClass::PlanMismatch, "summa_stages_replay",
-                  "summa_stages_replay: stage " + std::to_string(k) + " broadcast delivered " +
-                      std::to_string(abuf.size()) + "/" + std::to_string(bbuf.size()) +
-                      " values where the cached shells hold " +
-                      std::to_string(st.a_blk.vals().size()) + "/" +
-                      std::to_string(st.b_blk.vals().size()));
-      st.a_blk.mutable_vals() = std::move(abuf);
-      st.b_blk.mutable_vals() = std::move(bbuf);
-    }
-    rep.mem_release(payload, payload * sizeof(VT));
-    {
-      auto ph = comm.phase(Phase::Comp);
-      c_blk = spgemm_local_numeric<SR, VT>(st.a_blk, st.b_blk, st.sym, &sched.ws);
-    }
-    {
-      auto ph = comm.phase(Phase::Other);
-      for (const auto& v : c_blk.vals()) {
-        const auto slot = static_cast<std::size_t>(sched.acc_dst[flat]);
-        acc_vals[slot] = sched.acc_first[flat] != 0 ? v : SR::add(acc_vals[slot], v);
-        ++flat;
-      }
-    }
-  };
-
-  pipeline_stages<VT>(comm, row_comm, col_comm, s, spc, spr, budgeted, extract, run_stage);
-}
-
 }  // namespace summadetail
 
-/// Cached structural program of one full 2D-SUMMA multiply on this rank:
-/// both inbound grid routes, the stage schedule (which remembers its
-/// q_r × q_c grid), and the outbound scatter/merge program. Captured by
-/// spgemm_summa_2d_dist, replayed (values only) by spgemm_summa_2d_replay.
+/// Cached structural program of one full grid multiply (2D SUMMA, or
+/// Split-3D with `layers` > 1) on this rank: both inbound (layer, grid)
+/// routes, this rank's layer stage schedule (which remembers its q_r × q_c
+/// grid), and the outbound scatter/merge program — which folds across the
+/// stages and, for Split-3D, across the layers. Captured by
+/// spgemm_summa_2d_dist / spgemm_split_3d_dist, replayed (values only) by
+/// spgemm_grid_replay.
 template <typename VT, typename SR>
-struct Summa2dPlan {
+struct GridPlan {
+  int layers = 1;  ///< 1 = SUMMA-2D
   GridRoute<VT> route_a, route_b;
   summadetail::SummaSched<VT, SR> sched;
   ScatterRoute<VT> out;
-  std::vector<VT> acc_vals;  ///< replay scratch: merged partial-C values
+  std::vector<VT> acc_vals;  ///< replay scratch: this layer's merged partials
 
   /// Exact per-rank collective bytes one value-only replay receives.
   [[nodiscard]] std::uint64_t replay_recv_bytes(int me) const {
@@ -431,6 +350,297 @@ struct Summa2dPlan {
   }
 };
 
+/// One member of a grid replay: a captured plan and the operand pair it
+/// replays.
+template <typename VT, typename SR>
+struct GridReplay {
+  GridPlan<VT, SR>* plan;
+  const DistMatrix1D<VT>* a;
+  const DistMatrix1D<VT>* b;
+};
+
+namespace summadetail {
+
+/// Replays every member's inbound A and B routes in ONE alltoallv: each
+/// destination chunk is the member-major concatenation of [route_a values,
+/// route_b values]. Chunks are scattered into the cached blocks as each
+/// source publishes, in ascending source order, with per-member-per-route
+/// flat counters — the flat order the routes were captured in.
+template <typename SR, typename VT>
+void replay_routes_in(Comm& comm, std::span<const GridReplay<VT, SR>> ms) {
+  const int P = comm.size();
+  const std::size_t k = ms.size();
+  auto route_of = [&](std::size_t m, int which) -> GridRoute<VT>& {
+    return which == 0 ? ms[m].plan->route_a : ms[m].plan->route_b;
+  };
+  auto operand_of = [&](std::size_t m, int which) -> const DcscMatrix<VT>& {
+    return which == 0 ? ms[m].a->local() : ms[m].b->local();
+  };
+  std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
+  {
+    auto ph = comm.phase(Phase::Other);
+    // Replay guard: the cached positions index the local val array the
+    // route was captured on (the capture packed every local triple). A
+    // diverged operand must raise machine-wide, not read out of range
+    // while peers proceed.
+    for (std::size_t m = 0; m < k; ++m) {
+      for (int which = 0; which < 2; ++which) {
+        std::size_t expect = 0;
+        for (const auto& src : route_of(m, which).send_src) expect += src.size();
+        if (operand_of(m, which).vals().size() != expect)
+          comm.fail(FaultClass::PlanMismatch, "grid_replay",
+                    "spgemm_grid_replay: member " + std::to_string(m) + " operand has " +
+                        std::to_string(operand_of(m, which).vals().size()) +
+                        " values but the cached route packs " + std::to_string(expect) +
+                        " (rank " + std::to_string(comm.global_rank(comm.rank())) + ")");
+      }
+    }
+    for (int p = 0; p < P; ++p) {
+      auto& chunk = send[static_cast<std::size_t>(p)];
+      std::size_t len = 0;
+      for (std::size_t m = 0; m < k; ++m)
+        for (int which = 0; which < 2; ++which)
+          len += route_of(m, which).send_src[static_cast<std::size_t>(p)].size();
+      chunk.reserve(len);
+      for (std::size_t m = 0; m < k; ++m) {
+        for (int which = 0; which < 2; ++which) {
+          const VT* vals = operand_of(m, which).vals().data();
+          for (auto i : route_of(m, which).send_src[static_cast<std::size_t>(p)])
+            chunk.push_back(vals[static_cast<std::size_t>(i)]);
+        }
+      }
+    }
+  }
+  std::vector<std::size_t> flat(2 * k, 0);
+  auto scatter_chunk = [&](int p, const std::vector<VT>& chunk) {
+    const auto sp = static_cast<std::size_t>(p);
+    std::size_t need = 0;
+    for (std::size_t m = 0; m < k; ++m)
+      for (int which = 0; which < 2; ++which)
+        need += static_cast<std::size_t>(route_of(m, which).recv_counts[sp]);
+    if (chunk.size() != need)
+      comm.fail(FaultClass::PlanMismatch, "grid_replay",
+                "spgemm_grid_replay: received " + std::to_string(chunk.size()) +
+                    " values from rank " + std::to_string(comm.global_rank(p)) +
+                    " where the cached routes expect " + std::to_string(need));
+    std::size_t off = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      for (int which = 0; which < 2; ++which) {
+        GridRoute<VT>& route = route_of(m, which);
+        std::size_t& fl = flat[2 * m + static_cast<std::size_t>(which)];
+        const auto n = static_cast<std::size_t>(route.recv_counts[sp]);
+        VT* bv = route.block.mutable_vals().data();
+        for (std::size_t i = 0; i < n; ++i)
+          bv[static_cast<std::size_t>(route.recv_place[fl++])] = chunk[off + i];
+        off += n;
+      }
+    }
+  };
+  // Pipelined scatter: chunks land in the cached blocks as each source
+  // publishes (slots are disjoint, so order only matters for matching the
+  // captured flat indexing).
+  auto req = comm.ialltoallv(std::move(send));
+  auto ph = comm.phase(Phase::Other);
+  for (int p = 0; p < P; ++p) scatter_chunk(p, req.take_from(p));
+}
+
+/// The replay stage loop over one shared q_r × q_c grid (`grid_comm` is a
+/// layer of the 3D backend, or everything for 2D): per stage, ONE row
+/// broadcast and ONE column broadcast carrying the member-major
+/// concatenation of every member's block values (members share the grid,
+/// so they share each stage's roots). Each member's stage body — shell
+/// fill, numeric pass, ⊕-fold into its merged accumulator in ascending
+/// stage order, the captured fold program's order — runs in member order
+/// with its own flat counter, through the same windowed stage pipeline
+/// (and staging gauge) as the fresh loop.
+template <typename SR, typename VT>
+void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool budgeted) {
+  const std::size_t k = ms.size();
+  const auto& sched0 = ms[0].plan->sched;
+  const int s = static_cast<int>(sched0.stages.size());
+  const int spc = s / sched0.grid_cols;
+  const int spr = s / sched0.grid_rows;
+  const int gi = grid_comm.rank() / sched0.grid_cols;
+  const int gj = grid_comm.rank() % sched0.grid_cols;
+  Comm row_comm = grid_comm.split(gi, gj);
+  Comm col_comm = grid_comm.split(gj, gi);
+
+  std::vector<std::size_t> flat(k, 0);
+  for (const auto& m : ms) m.plan->acc_vals.assign(m.plan->sched.acc_nnz, VT{});
+  auto stage_of = [&](std::size_t m, int st) -> typename SummaSched<VT, SR>::Stage& {
+    return ms[m].plan->sched.stages[static_cast<std::size_t>(st)];
+  };
+
+  // Root-side value gathers for stage st: a contiguous span of the A
+  // block, the recorded row-filter map over the B block.
+  auto extract = [&](int st, std::vector<VT>& aall, std::vector<VT>& ball) {
+    for (std::size_t m = 0; m < k; ++m) {
+      const auto& stage = stage_of(m, st);
+      if (gj == st / spc) {
+        const auto& av = ms[m].plan->route_a.block.vals();
+        aall.insert(aall.end(), av.begin() + stage.a_val_lo, av.begin() + stage.a_val_hi);
+      }
+      if (gi == st / spr) {
+        const VT* bv = ms[m].plan->route_b.block.vals().data();
+        ball.reserve(ball.size() + stage.b_src.size());
+        for (auto i : stage.b_src) ball.push_back(bv[static_cast<std::size_t>(i)]);
+      }
+    }
+  };
+
+  auto run_stage = [&](int st, std::vector<VT> aall, std::vector<VT> ball) {
+    // Replay guard: the broadcast value arrays must fill the cached stage
+    // shells exactly; a diverged root operand raises machine-wide instead
+    // of running the numeric pass on a torn block.
+    std::size_t aneed = 0, bneed = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      aneed += stage_of(m, st).a_blk.vals().size();
+      bneed += stage_of(m, st).b_blk.vals().size();
+    }
+    if (aall.size() != aneed || ball.size() != bneed)
+      grid_comm.fail(FaultClass::PlanMismatch, "grid_replay",
+                     "spgemm_grid_replay: stage " + std::to_string(st) +
+                         " broadcast delivered " + std::to_string(aall.size()) + "/" +
+                         std::to_string(ball.size()) + " values where the cached shells hold " +
+                         std::to_string(aneed) + "/" + std::to_string(bneed));
+    std::size_t aoff = 0, boff = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      auto& stage = stage_of(m, st);
+      auto& sched = ms[m].plan->sched;
+      {
+        auto ph = grid_comm.phase(Phase::Other);
+        const auto an = stage.a_blk.vals().size();
+        const auto bn = stage.b_blk.vals().size();
+        stage.a_blk.mutable_vals().assign(aall.begin() + static_cast<std::ptrdiff_t>(aoff),
+                                          aall.begin() + static_cast<std::ptrdiff_t>(aoff + an));
+        stage.b_blk.mutable_vals().assign(ball.begin() + static_cast<std::ptrdiff_t>(boff),
+                                          ball.begin() + static_cast<std::ptrdiff_t>(boff + bn));
+        aoff += an;
+        boff += bn;
+      }
+      CscMatrix<VT> c_blk;
+      {
+        auto ph = grid_comm.phase(Phase::Comp);
+        c_blk = spgemm_local_numeric<SR, VT>(stage.a_blk, stage.b_blk, stage.sym, &sched.ws);
+      }
+      {
+        auto ph = grid_comm.phase(Phase::Other);
+        std::size_t& fl = flat[m];
+        auto& acc = ms[m].plan->acc_vals;
+        for (const auto& v : c_blk.vals()) {
+          const auto slot = static_cast<std::size_t>(sched.acc_dst[fl]);
+          acc[slot] = sched.acc_first[fl] != 0 ? v : SR::add(acc[slot], v);
+          ++fl;
+        }
+      }
+    }
+    // The staging pipeline_stages charged dies with the payload.
+    const std::uint64_t payload = aall.size() + ball.size();
+    grid_comm.report().mem_release(payload, payload * sizeof(VT));
+  };
+
+  pipeline_stages<VT>(grid_comm, row_comm, col_comm, s, spc, spr, budgeted, extract, run_stage);
+}
+
+/// Replays every member's outbound scatter/merge in ONE alltoallv
+/// (member-major concatenation per destination). Partial-C chunks ⊕-fold
+/// into copies of the cached 1D shells as each source publishes; consuming
+/// in ascending source, then member, order with per-member flat counters
+/// preserves each captured program's flat (rank-major) fold order, so a
+/// non-commutative or non-associative ⊕ still reproduces the fresh result
+/// bit for bit. The shell copies run while chunks are in flight.
+template <typename SR, typename VT>
+std::vector<DistMatrix1D<VT>> replay_scatter_out(Comm& comm,
+                                                 std::span<const GridReplay<VT, SR>> ms) {
+  const int P = comm.size();
+  const std::size_t k = ms.size();
+  std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
+  {
+    auto ph = comm.phase(Phase::Other);
+    for (int p = 0; p < P; ++p) {
+      const auto sp = static_cast<std::size_t>(p);
+      auto& chunk = send[sp];
+      std::size_t len = 0;
+      for (const auto& m : ms) len += m.plan->out.send_src[sp].size();
+      chunk.reserve(len);
+      for (const auto& m : ms) {
+        const VT* pv = m.plan->acc_vals.data();
+        for (auto i : m.plan->out.send_src[sp]) chunk.push_back(pv[static_cast<std::size_t>(i)]);
+      }
+    }
+  }
+  std::vector<std::size_t> flat(k, 0);
+  auto fold_chunk = [&](int p, const std::vector<VT>& chunk, std::vector<DcscMatrix<VT>>& cs) {
+    const auto sp = static_cast<std::size_t>(p);
+    std::size_t need = 0;
+    for (const auto& m : ms) need += static_cast<std::size_t>(m.plan->out.recv_counts[sp]);
+    if (chunk.size() != need)
+      comm.fail(FaultClass::PlanMismatch, "grid_replay",
+                "spgemm_grid_replay: received " + std::to_string(chunk.size()) +
+                    " partial values from rank " + std::to_string(comm.global_rank(p)) +
+                    " where the cached scatter programs expect " + std::to_string(need));
+    std::size_t off = 0;
+    for (std::size_t m = 0; m < k; ++m) {
+      const auto& route = ms[m].plan->out;
+      const auto n = static_cast<std::size_t>(route.recv_counts[sp]);
+      VT* cv = cs[m].mutable_vals().data();
+      std::size_t& fl = flat[m];
+      for (std::size_t i = 0; i < n; ++i, ++fl) {
+        const auto slot = static_cast<std::size_t>(route.recv_dst[fl]);
+        cv[slot] = route.recv_first[fl] != 0 ? chunk[off + i] : SR::add(cv[slot], chunk[off + i]);
+      }
+      off += n;
+    }
+  };
+  auto req = comm.ialltoallv(std::move(send));
+  auto ph = comm.phase(Phase::Other);
+  std::vector<DcscMatrix<VT>> cs;
+  cs.reserve(k);
+  for (const auto& m : ms) cs.push_back(m.plan->out.c_shell);
+  for (int p = 0; p < P; ++p) fold_chunk(p, req.take_from(p), cs);
+  std::vector<DistMatrix1D<VT>> out;
+  out.reserve(k);
+  for (std::size_t m = 0; m < k; ++m) {
+    const auto& route = ms[m].plan->out;
+    out.emplace_back(route.nrows, route.ncols, route.out_bounds, comm.rank(), std::move(cs[m]));
+  }
+  return out;
+}
+
+}  // namespace summadetail
+
+/// Replays k captured grid plans for structurally identical operand pairs,
+/// one plan per member (a single member is the sequential replay): ONE
+/// value alltoallv routes every member's A and B in, the stage loop runs on
+/// this rank's layer with one fused row and column broadcast per stage, and
+/// ONE value alltoallv scatters every member's partial C out with its
+/// ⊕-fold. Members must share the grid shape and layer count. So k
+/// multiplies pay one α per phase, while each member's bytes, compute order
+/// and fold programs are its own — every result is bit-identical to the
+/// fresh call; zero Phase::Plan time, no structural metadata moved.
+/// `budgeted` bounds the stage window like the fresh call's. Collective.
+template <typename SR, typename VT>
+std::vector<DistMatrix1D<VT>> spgemm_grid_replay(Comm& comm,
+                                                 std::span<const GridReplay<VT, SR>> ms,
+                                                 bool budgeted = false) {
+  if (ms.empty()) return {};
+  const auto& p0 = *ms[0].plan;
+  for (const auto& m : ms)
+    require(m.plan->layers == p0.layers && m.plan->sched.grid_rows == p0.sched.grid_rows &&
+                m.plan->sched.grid_cols == p0.sched.grid_cols &&
+                m.plan->sched.stages.size() == p0.sched.stages.size(),
+            "spgemm_grid_replay: members must share the grid shape and layer count");
+  summadetail::replay_routes_in<SR>(comm, ms);
+  if (p0.layers <= 1) {
+    summadetail::replay_stages<SR>(comm, ms, budgeted);
+  } else {
+    const int q2 = comm.size() / p0.layers;
+    Comm layer_comm = comm.split(comm.rank() / q2, comm.rank());
+    summadetail::replay_stages<SR>(layer_comm, ms, budgeted);
+  }
+  return summadetail::replay_scatter_out<SR>(comm, ms);
+}
+
 /// 2D sparse SUMMA over 1D-distributed operands on a q_r × q_c grid.
 /// Collective; any process count works — the grid is the nearest-square
 /// factorization of P unless `grid_rows`/`grid_cols` pin a shape
@@ -443,7 +653,7 @@ template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_summa_2d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
-    std::type_identity_t<Summa2dPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
+    std::type_identity_t<GridPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
     int grid_rows = 0, int grid_cols = 0, bool budgeted = false) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_summa_2d_dist: inner dimension mismatch");
@@ -490,34 +700,6 @@ DistMatrix1D<VT> spgemm_summa_2d_dist(
   comm.report().mem_release(acc.triples().size(),
                             acc.triples().size() * sizeof(Triple<VT>));
   return c;
-}
-
-/// Replays a captured 2D-SUMMA plan for a structurally identical operand
-/// pair: value-only routes in, value-only stage broadcasts + numeric local
-/// passes, value-only scatter out. Bit-identical to the fresh call; records
-/// zero Phase::Plan time and moves no structural metadata. Collective.
-template <typename SR, typename VT>
-DistMatrix1D<VT> spgemm_summa_2d_replay(Comm& comm, Summa2dPlan<VT, SR>& plan,
-                                        const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                        bool budgeted = false) {
-  const auto& my_a = replay_1d_to_2d_grid(comm, plan.route_a, a);
-  const auto& my_b = replay_1d_to_2d_grid(comm, plan.route_b, b);
-  summadetail::summa_stages_replay<SR>(comm, my_a, my_b, plan.sched, plan.acc_vals, budgeted);
-  return replay_coo_to_1d<SR>(comm, plan.out, std::span<const VT>(plan.acc_vals));
-}
-
-/// Replicated-operand wrapper (the original baseline API): distributes the
-/// globals, runs the 1D-in/1D-out SUMMA, and returns this rank's C column
-/// slice as COO in global coordinates — gather_coo() reassembles.
-template <typename VT>
-CooMatrix<VT> spgemm_summa_2d(Comm& comm, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                              LocalKernel kernel = LocalKernel::Hybrid, int threads = 1) {
-  require(a.ncols() == b.nrows(), "spgemm_summa_2d: inner dimension mismatch");
-  auto da = DistMatrix1D<VT>::from_global(comm, a);
-  auto db = DistMatrix1D<VT>::from_global(comm, b);
-  auto dc = spgemm_summa_2d_dist(comm, da, db, kernel, threads);
-  auto ph = comm.phase(Phase::Other);
-  return dc.local_to_coo_global();
 }
 
 }  // namespace sa1d

@@ -3,10 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/outer_product.hpp"
-#include "core/spgemm1d.hpp"
-#include "dist/naive1d.hpp"
-#include "dist/spgemm3d.hpp"
-#include "dist/summa2d.hpp"
+#include "dist/dist_spgemm.hpp"
 #include "sparse/generators.hpp"
 
 namespace sa1d {
@@ -20,6 +17,17 @@ CscMatrix<double> random_rect(index_t m, index_t n, int edges, std::uint64_t see
            static_cast<index_t>(g.below(static_cast<std::uint64_t>(n))), 1.0 + g.uniform());
   c.canonicalize();
   return CscMatrix<double>::from_coo(c);
+}
+
+/// C = A·B through spgemm_dist on one grid backend, gathered on every rank.
+CscMatrix<double> grid_product(Comm& c, const CscMatrix<double>& a, const CscMatrix<double>& b,
+                               Algo algo, int layers = 0) {
+  auto da = DistMatrix1D<double>::from_global(c, a);
+  auto db = DistMatrix1D<double>::from_global(c, b);
+  DistSpgemmOptions opt;
+  opt.algo = algo;
+  opt.layers = layers;
+  return spgemm_dist(c, da, db, opt).gather(c);
 }
 
 // ---- Outer product (Algorithm 3) ----------------------------------------
@@ -113,8 +121,7 @@ TEST(Summa2d, MatchesSerialOnAnyProcessCount) {
   for (int P : {1, 4, 9, 2, 3, 5, 6, 8, 12}) {
     Machine m(P);
     m.run([&](Comm& c) {
-      auto blk = spgemm_summa_2d(c, a, a);
-      auto got = gather_coo(c, blk);
+      auto got = grid_product(c, a, a, Algo::Summa2D);
       EXPECT_TRUE(approx_equal(got, want, 1e-9)) << "P=" << P;
     });
   }
@@ -146,7 +153,7 @@ TEST(Summa2d, RectangularOperands) {
   auto want = spgemm(a, b, LocalKernel::Spa);
   Machine m(4);
   m.run([&](Comm& c) {
-    auto got = gather_coo(c, spgemm_summa_2d(c, a, b));
+    auto got = grid_product(c, a, b, Algo::Summa2D);
     EXPECT_TRUE(approx_equal(got, want, 1e-9));
   });
 }
@@ -181,7 +188,7 @@ TEST(Split3d, MatchesSerialAcrossLayerCounts) {
     int P = 8;
     Machine m(P);
     m.run([&](Comm& c) {
-      auto got = gather_coo(c, spgemm_split_3d(c, a, a, layers));
+      auto got = grid_product(c, a, a, Algo::Split3D, layers);
       EXPECT_TRUE(approx_equal(got, want, 1e-9)) << "layers=" << layers;
     });
   }
@@ -191,8 +198,8 @@ TEST(Split3d, LayersEqualOneMatchesSumma) {
   auto a = mesh2d<double>(9);
   Machine m(4);
   m.run([&](Comm& c) {
-    auto c3 = gather_coo(c, spgemm_split_3d(c, a, a, 1));
-    auto c2 = gather_coo(c, spgemm_summa_2d(c, a, a));
+    auto c3 = grid_product(c, a, a, Algo::Split3D, 1);
+    auto c2 = grid_product(c, a, a, Algo::Summa2D);
     EXPECT_TRUE(approx_equal(c3, c2, 1e-9));
   });
 }
@@ -200,7 +207,8 @@ TEST(Split3d, LayersEqualOneMatchesSumma) {
 TEST(Split3d, RejectsBadLayerCount) {
   Machine m(8);
   auto a = erdos_renyi<double>(20, 2.0, 2);
-  EXPECT_THROW(m.run([&](Comm& c) { spgemm_split_3d(c, a, a, 3); }), std::invalid_argument);
+  EXPECT_THROW(m.run([&](Comm& c) { grid_product(c, a, a, Algo::Split3D, 3); }),
+               std::invalid_argument);
 }
 
 TEST(Split3d, RectangularOperands) {
@@ -209,7 +217,7 @@ TEST(Split3d, RectangularOperands) {
   auto want = spgemm(a, b, LocalKernel::Spa);
   Machine m(8);
   m.run([&](Comm& c) {
-    auto got = gather_coo(c, spgemm_split_3d(c, a, b, 2));
+    auto got = grid_product(c, a, b, Algo::Split3D, 2);
     EXPECT_TRUE(approx_equal(got, want, 1e-9));
   });
 }
@@ -225,8 +233,8 @@ TEST(AllAlgorithms, AgreeOnOneInput) {
     EXPECT_TRUE(approx_equal(spgemm_1d(c, da, da).gather(c), want, 1e-9));
     EXPECT_TRUE(approx_equal(spgemm_outer_product_1d(c, da, da).gather(c), want, 1e-9));
     EXPECT_TRUE(approx_equal(spgemm_naive_ring_1d(c, da, da).gather(c), want, 1e-9));
-    EXPECT_TRUE(approx_equal(gather_coo(c, spgemm_summa_2d(c, a, a)), want, 1e-9));
-    EXPECT_TRUE(approx_equal(gather_coo(c, spgemm_split_3d(c, a, a, 4)), want, 1e-9));
+    EXPECT_TRUE(approx_equal(grid_product(c, a, a, Algo::Summa2D), want, 1e-9));
+    EXPECT_TRUE(approx_equal(grid_product(c, a, a, Algo::Split3D, 4), want, 1e-9));
   });
 }
 

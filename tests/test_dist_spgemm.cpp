@@ -251,8 +251,13 @@ TEST(DistSpgemmValidation, FormerlyInfeasibleShapesNowRun) {
   auto a = erdos_renyi<double>(60, 3.0, 2);
   auto want = spgemm(a, a, LocalKernel::Spa);
   m.run([&](Comm& c) {
-    EXPECT_TRUE(approx_equal(gather_coo(c, spgemm_summa_2d(c, a, a)), want, 1e-9));
-    EXPECT_TRUE(approx_equal(gather_coo(c, spgemm_split_3d(c, a, a, 2)), want, 1e-9));
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    DistSpgemmOptions opt;
+    opt.algo = Algo::Summa2D;
+    EXPECT_TRUE(approx_equal(spgemm_dist(c, da, da, opt).gather(c), want, 1e-9));
+    opt.algo = Algo::Split3D;
+    opt.layers = 2;
+    EXPECT_TRUE(approx_equal(spgemm_dist(c, da, da, opt).gather(c), want, 1e-9));
   });
 }
 

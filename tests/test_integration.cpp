@@ -38,8 +38,14 @@ CscMatrix<double> run_algo(Comm& c, Algo algo, const CscMatrix<double>& a) {
       auto da = DistMatrix1D<double>::from_global(c, a);
       return spgemm_naive_ring_1d(c, da, da).gather(c);
     }
-    case Algo::Summa2d: return gather_coo(c, spgemm_summa_2d(c, a, a));
-    case Algo::Split3d: return gather_coo(c, spgemm_split_3d(c, a, a, 2));
+    case Algo::Summa2d:
+    case Algo::Split3d: {
+      auto da = DistMatrix1D<double>::from_global(c, a);
+      DistSpgemmOptions opt;
+      opt.algo = algo == Algo::Summa2d ? sa1d::Algo::Summa2D : sa1d::Algo::Split3D;
+      opt.layers = 2;  // Split-3D's layer count; SUMMA ignores it
+      return spgemm_dist(c, da, da, opt).gather(c);
+    }
   }
   throw std::logic_error("unknown algo");
 }

@@ -3,8 +3,10 @@
 // (dist/batch_spgemm.hpp). The acceptance bar is bit-identity — every
 // batched member must equal the fresh spgemm_dist result for its operands,
 // across all four backends, both semirings, and batch sizes 1/2/8/32
-// (cold: misses + within-batch deferred hits; hot: fused replay groups) —
-// plus the LRU/budget mechanics (eviction order, forced rebuilds, the
+// (cold: misses + within-batch deferred hits; hot: fused replay groups),
+// under Random and Partitioned orderings too, with a batch of one equal to
+// the sequential replay in results and counters and fused ring groups
+// charging the memory gauge — plus the LRU/budget mechanics (eviction order, forced rebuilds, the
 // windowed-ring demotion fallback staying replayable), the structure-hash
 // negative (equal quick fingerprints must not alias), the coherence guard
 // (a rank-divergent cache decision surfaces as the identical typed
@@ -197,6 +199,173 @@ TEST(PlanCacheBatched, SequentialCachedEntryPointMatchesFresh) {
     EXPECT_EQ(cache.stats().hits, 2u);
     EXPECT_EQ(cache.stats().misses, 1u);
   });
+}
+
+// ---- ordered plans replay in batches -------------------------------------
+
+TEST(PlanCacheBatched, OrderedPlansReplayHotWithoutRecovery) {
+  // Hot batches over plans built under a Random or Partitioned ordering
+  // must replay them: each member permutes its operands onto the plan's
+  // layout, runs the group's backend replay, and scatters C back. Batch 1
+  // builds both tenants; batch 2 brings fresh values (forward value routes
+  // run); batch 3 repeats batch 2's values (the cached permuted operands
+  // are reused as they are). No batch may fall into the recovery path.
+  std::vector<CscMatrix<double>> tenants;
+  tenants.push_back(block_clustered<double>(120, 6, 4.0, 0.4, 101));
+  tenants.push_back(erdos_renyi<double>(120, 3.0, 103));
+  for (Algo algo : all_backends()) {
+    for (Ordering ord : {Ordering::Random, Ordering::Partitioned}) {
+      SCOPED_TRACE(std::string(algo_name(algo)) + " ordering " +
+                   std::to_string(static_cast<int>(ord)));
+      Machine m(4);
+      DistSpgemmOptions opt;
+      opt.algo = algo;
+      opt.reorder = ord;
+      m.run([&](Comm& c) {
+        PlanCache<double> cache;
+        for (int batch = 0; batch < 3; ++batch) {
+          const int t = batch == 2 ? 1 : batch;
+          std::vector<DistMatrix1D<double>> ops;
+          for (const auto& tn : tenants)
+            ops.push_back(DistMatrix1D<double>::from_global(c, with_values(tn, t)));
+          Items items;
+          for (const auto& op : ops) items.push_back({&op, &op});
+          const std::uint64_t recoveries_before = c.report().plan_recoveries;
+          std::vector<DistSpgemmStats> st;
+          auto got = spgemm_dist_batched(c, cache, items, opt, &st);
+          EXPECT_EQ(c.report().plan_recoveries, recoveries_before) << "batch " << batch;
+          for (std::size_t i = 0; i < ops.size(); ++i) {
+            SCOPED_TRACE("batch " + std::to_string(batch) + " member " + std::to_string(i));
+            EXPECT_EQ(st[i].recoveries, 0);
+            EXPECT_EQ(st[i].ordering, ord);
+            EXPECT_EQ(st[i].cache_misses, batch == 0 ? 1u : 0u);
+            if (batch > 0) EXPECT_TRUE(st[i].plan_reused);
+            EXPECT_TRUE(got[i].local() == spgemm_dist(c, ops[i], ops[i], opt).local());
+          }
+        }
+      });
+    }
+  }
+}
+
+// ---- the replay memory gauge ----------------------------------------------
+
+TEST(PlanCacheBatched, RingGroupChargesItsCirculatingSlices) {
+  // A fused ring replay circulates every member's A values at once, so its
+  // peak covers at least each member's own sequential replay peak.
+  std::vector<CscMatrix<double>> tenants;
+  tenants.push_back(erdos_renyi<double>(300, 4.0, 107));
+  tenants.push_back(erdos_renyi<double>(300, 3.0, 109));
+  DistSpgemmOptions opt;
+  opt.algo = Algo::Ring1D;
+  Machine m(4);
+  m.run([&](Comm& c) {
+    std::vector<DistMatrix1D<double>> ops;
+    for (const auto& tn : tenants)
+      ops.push_back(DistMatrix1D<double>::from_global(c, with_values(tn, 0)));
+    std::vector<std::uint64_t> seq_peak;
+    for (const auto& op : ops) {
+      DistSpgemmPlan<double> plan;
+      (void)spgemm_dist_cached(c, plan, op, op, opt);
+      DistSpgemmStats st;
+      (void)spgemm_dist_cached(c, plan, op, op, opt, &st);
+      ASSERT_TRUE(st.plan_reused);
+      seq_peak.push_back(st.peak_triples);
+    }
+    PlanCache<double> cache;
+    Items items;
+    for (const auto& op : ops) items.push_back({&op, &op});
+    (void)spgemm_dist_batched(c, cache, items, opt);  // builds both plans
+    std::vector<DistSpgemmStats> st;
+    (void)spgemm_dist_batched(c, cache, items, opt, &st);  // one fused group
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      SCOPED_TRACE("member " + std::to_string(i));
+      EXPECT_TRUE(st[i].plan_reused);
+      EXPECT_GT(seq_peak[i], 0u);
+      EXPECT_GT(st[i].peak_triples, 0u);
+      EXPECT_GE(st[i].peak_triples, seq_peak[i]);
+    }
+  });
+}
+
+// ---- a batch of one is the sequential replay -------------------------------
+
+/// The counters one call moved on this rank.
+std::vector<std::uint64_t> call_counters(const RankReport& before, const RankReport& after) {
+  return {after.comm_ops - before.comm_ops,
+          after.coll_bytes_received() - before.coll_bytes_received(),
+          after.coll_msgs_received() - before.coll_msgs_received(),
+          after.sent_bytes_network() - before.sent_bytes_network(),
+          after.sent_msgs_network() - before.sent_msgs_network(),
+          after.rdma_msgs - before.rdma_msgs,
+          after.rdma_bytes - before.rdma_bytes,
+          after.peak_triples};
+}
+
+TEST(PlanCacheBatched, BatchOfOneIsTheSequentialReplay) {
+  // A hot batch of one and a spgemm_dist_cached replay of the same cached
+  // plan run the same executor. Two machines share the history (a batch
+  // builds the plan on values 0) and differ only in the last call on
+  // values 1: bit-identical C and equal per-rank collective, RDMA and
+  // peak-memory counters. comm_ops differs by exactly the batch's cache
+  // coherence vote, a control exchange that moves no counted bytes.
+  auto pat = block_clustered<double>(120, 6, 4.0, 0.4, 113);
+  const int P = 4;
+  for (Algo algo : all_backends()) {
+    for (Ordering ord : {Ordering::Identity, Ordering::Partitioned}) {
+      SCOPED_TRACE(std::string(algo_name(algo)) + " ordering " +
+                   std::to_string(static_cast<int>(ord)));
+      DistSpgemmOptions opt;
+      opt.algo = algo;
+      opt.reorder = ord;
+      struct Side {
+        std::vector<std::vector<std::uint64_t>> counters;
+        std::vector<DcscMatrix<double>> c;
+        std::vector<DistSpgemmStats> st;
+      };
+      auto run = [&](bool batched) {
+        Side side{std::vector<std::vector<std::uint64_t>>(P), std::vector<DcscMatrix<double>>(P),
+                  std::vector<DistSpgemmStats>(P)};
+        Machine m(P);
+        m.run([&](Comm& c) {
+          const auto r = static_cast<std::size_t>(c.rank());
+          PlanCache<double> cache;
+          auto d0 = DistMatrix1D<double>::from_global(c, with_values(pat, 0));
+          Items warm{{&d0, &d0}};
+          (void)spgemm_dist_batched(c, cache, warm, opt);
+          auto d1 = DistMatrix1D<double>::from_global(c, with_values(pat, 1));
+          const RankReport before = c.report();
+          DistMatrix1D<double> got;
+          if (batched) {
+            Items one{{&d1, &d1}};
+            std::vector<DistSpgemmStats> st;
+            got = std::move(spgemm_dist_batched(c, cache, one, opt, &st)[0]);
+            side.st[r] = st[0];
+          } else {
+            got = spgemm_dist_cached(c, *cache.entries().front().plan, d1, d1, opt, &side.st[r]);
+          }
+          side.counters[r] = call_counters(before, c.report());
+          side.c[r] = got.local();
+        });
+        return side;
+      };
+      const Side b = run(true);
+      const Side s = run(false);
+      for (int r = 0; r < P; ++r) {
+        SCOPED_TRACE("rank " + std::to_string(r));
+        const auto ur = static_cast<std::size_t>(r);
+        EXPECT_TRUE(b.st[ur].plan_reused);
+        EXPECT_TRUE(s.st[ur].plan_reused);
+        EXPECT_EQ(b.st[ur].ordering, s.st[ur].ordering);
+        EXPECT_TRUE(b.c[ur] == s.c[ur]);
+        auto want = s.counters[ur];
+        want[0] += 1;  // the batch's cache coherence vote
+        EXPECT_EQ(b.counters[ur], want);
+        EXPECT_EQ(b.st[ur].peak_triples, s.st[ur].peak_triples);
+        EXPECT_EQ(b.st[ur].meta_coll_bytes, s.st[ur].meta_coll_bytes);
+      }
+    }
+  }
 }
 
 // ---- LRU order, budget-forced eviction, rebuild ---------------------------
