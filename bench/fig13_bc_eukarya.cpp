@@ -37,13 +37,10 @@ int main() {
 
   std::printf("\n-- eukarya-like, batch=%lld, %d ranks (per-level SpGEMM ms) --\n",
               static_cast<long long>(batch), P);
-  // Coarse block fetching: at this instance scale each owner has only a few
-  // hundred nonzero columns, so the paper's K=2048 would degenerate to
-  // per-column messages; K=32 + adjacent merging keeps the latency term at
-  // the same message:volume balance the paper tunes for (cf. fig06).
+  // Default fetch planner: the α–β optimum per owner adapts the
+  // message:volume balance to the instance scale, so no K is hand-set
+  // (cf. fig06's "α–β optimal" row).
   BcOptions bopt;
-  bopt.mult.block_fetch_k = 32;
-  bopt.mult.merge_adjacent_blocks = true;
   auto s1d = bench::bc_series_1d(m, a, psources, bopt);
   bench::print_series("1D (partitioned)", s1d);
   auto s2d = bench::bc_series_baseline(m, a, psources, bench::make_summa2d_mult());

@@ -33,9 +33,7 @@ int main() {
   std::printf("\n-- hv15r-like, batch=%lld, %d ranks, budget %.1f MB/rank --\n",
               static_cast<long long>(batch), P, budget_mb);
 
-  BcOptions bopt;  // coarse block fetch at this scale; see fig13 note
-  bopt.mult.block_fetch_k = 32;
-  bopt.mult.merge_adjacent_blocks = true;
+  BcOptions bopt;  // default α–β-optimal block fetch; see fig13 note
   auto s1d = bench::bc_series_1d(m, a, sources, bopt);
   bench::print_series("1D (original)", s1d);
 

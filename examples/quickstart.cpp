@@ -33,10 +33,8 @@ int main() {
     if (comm.rank() == 0) std::printf("CV/memA advisor: %.3f (<0.3: use natural order)\n", cv);
 
     // C = A * A with Algorithm 1 (windows + H-filter + block fetch).
-    Spgemm1dOptions opt;
-    opt.block_fetch_k = 2048;  // Algorithm 2's K
     Spgemm1dInfo info;
-    auto dc = spgemm_1d(comm, da, da, opt, &info);
+    auto dc = spgemm_1d(comm, da, da, {}, &info);
 
     if (comm.rank() == 0)
       std::printf("rank 0 fetched %lld of %lld needed columns (%lld elements) into an "

@@ -44,8 +44,11 @@
 namespace sa1d {
 
 struct Spgemm1dOptions {
-  /// Algorithm 2's K: max RDMA block fetches per remote process.
-  index_t block_fetch_k = 2048;
+  /// Fetch planner. Unset (the default): per owner, the α–β-optimal plan at
+  /// the link's CostParams rates (optimal_fetch_plan). Set: the paper's
+  /// Algorithm 2 with this K, at most K gets per remote process — an
+  /// ablation input that reproduces the paper's K sweep (fig06).
+  std::optional<index_t> block_fetch_k;
   /// Local kernel for C_i = Ã·B_i.
   LocalKernel kernel = LocalKernel::Hybrid;
   /// Simulated OpenMP threads inside the rank (local kernel fan-out).
@@ -53,8 +56,6 @@ struct Spgemm1dOptions {
   /// Ablation: when false, every nonzero column of A is fetched
   /// (sparsity-oblivious 1D), not just H ∩ D.
   bool sparsity_aware = true;
-  /// Extension to Algorithm 2: merge adjacent chosen blocks into one message.
-  bool merge_adjacent_blocks = false;
   /// Bounded prefetch depth of the executor's value fetches: it keeps up to
   /// this many gets in flight (values < 1 mean 1; each holds one staging
   /// buffer) while the scatter of earlier blocks and the B̃ gather run,
@@ -133,6 +134,47 @@ BitVector nonzero_rows(const DcscMatrix<VT>& b_local, index_t k) {
   return h;
 }
 
+/// One owner's slice of the fetch plan: which of its nonzero columns this
+/// rank needs, and the gets that move them (none for the rank's own slice).
+struct OwnerFetch {
+  std::vector<bool> needed;        ///< H∩D over the owner's nonzero columns
+  std::vector<FetchRange> ranges;  ///< gets in ascending position order
+};
+
+/// The one fetch planner: the SpgemmPlan1D inspector, Auto's cost inputs and
+/// the CV/memA advisor all call it, so the predictions price exactly the
+/// gets that run. Sparsity-oblivious mode needs every column. With
+/// opt.block_fetch_k unset, the ranges are the α–β optimum at the rates of
+/// the link between this rank and `owner` (intra- or inter-node by
+/// CostModel::node_of), with a value element costing sizeof(VT) bytes;
+/// with it set, they are Algorithm 2's K groups.
+template <typename VT>
+OwnerFetch plan_owner_fetch(const Comm& comm, const AMeta<VT>& meta, const BitVector& h,
+                            int owner, const Spgemm1dOptions& opt) {
+  const auto& gids = meta.gids[static_cast<std::size_t>(owner)];
+  const auto nzc = static_cast<index_t>(gids.size());
+  OwnerFetch f;
+  f.needed.assign(static_cast<std::size_t>(nzc), !opt.sparsity_aware);
+  if (opt.sparsity_aware)
+    for (index_t p = 0; p < nzc; ++p)
+      if (h.test(gids[static_cast<std::size_t>(p)])) f.needed[static_cast<std::size_t>(p)] = true;
+  if (owner == comm.rank() || nzc == 0) return f;
+  if (opt.block_fetch_k.has_value()) {
+    f.ranges = block_fetch_plan(nzc, *opt.block_fetch_k, f.needed);
+    return f;
+  }
+  const CostModel& cm = comm.cost();
+  const CostParams& p = cm.params();
+  const bool intra =
+      cm.node_of(comm.global_rank(owner)) == cm.node_of(comm.global_rank(comm.rank()));
+  const double alpha = intra ? p.alpha_intra : p.alpha_inter;
+  const double beta = intra ? p.beta_intra : p.beta_inter;
+  f.ranges = optimal_fetch_plan(f.needed,
+                                std::span<const index_t>(meta.cp[static_cast<std::size_t>(owner)]),
+                                alpha, beta * static_cast<double>(sizeof(VT)));
+  return f;
+}
+
 inline std::uint64_t hash_mix64(std::uint64_t h, std::uint64_t v) {
   v *= 0x9e3779b97f4a7c15ULL;
   v ^= v >> 32;
@@ -208,7 +250,8 @@ class SpgemmPlan1D {
   SpgemmPlan1D(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
                const Spgemm1dOptions& opt, std::optional<detail1d::AMeta<VT>> pre_meta) {
     require(a.ncols() == b.nrows(), "SpgemmPlan1D: inner dimension mismatch");
-    require(opt.block_fetch_k > 0, "SpgemmPlan1D: block_fetch_k must be positive");
+    require(!opt.block_fetch_k.has_value() || *opt.block_fetch_k > 0,
+            "SpgemmPlan1D: block_fetch_k must be positive");
     const int P = comm.size();
     const int me = comm.rank();
     opt_ = opt;
@@ -237,8 +280,8 @@ class SpgemmPlan1D {
     // Exact sizes are derivable from `needed` + cp before any data moves,
     // so the assembly below never grows a vector (in *both* modes — the
     // seed only pre-reserved the oblivious path).
-    std::vector<std::vector<bool>> needed_all(static_cast<std::size_t>(P));
-    std::vector<std::vector<FetchRange>> plans(static_cast<std::size_t>(P));
+    std::vector<detail1d::OwnerFetch> owners;
+    owners.reserve(static_cast<std::size_t>(P));
     std::vector<index_t> atilde_gids;  // global col order; drives the B̃ remap
     std::vector<index_t> atilde_colptr;
     std::vector<index_t> atilde_rows;
@@ -246,27 +289,15 @@ class SpgemmPlan1D {
     {
       auto ph = comm.phase(Phase::Plan);
       for (int r = 0; r < P; ++r) {
-        const auto& gids = meta.gids[static_cast<std::size_t>(r)];
         const auto& cp = meta.cp[static_cast<std::size_t>(r)];
-        const auto nzc = static_cast<index_t>(gids.size());
-        if (nzc == 0) continue;
-        auto& needed = needed_all[static_cast<std::size_t>(r)];
-        needed.assign(static_cast<std::size_t>(nzc), !opt.sparsity_aware);
-        if (opt.sparsity_aware) {
-          for (index_t p = 0; p < nzc; ++p)
-            if (h.test(gids[static_cast<std::size_t>(p)])) needed[static_cast<std::size_t>(p)] = true;
-        }
+        const auto& f = owners.emplace_back(detail1d::plan_owner_fetch(comm, meta, h, r, opt));
+        const auto nzc = static_cast<index_t>(f.needed.size());
         for (index_t p = 0; p < nzc; ++p) {
-          if (!needed[static_cast<std::size_t>(p)]) continue;
+          if (!f.needed[static_cast<std::size_t>(p)]) continue;
           ++kept_cols;
           kept_nnz += static_cast<std::size_t>(cp[static_cast<std::size_t>(p) + 1] -
                                                cp[static_cast<std::size_t>(p)]);
-          if (r != me && opt.sparsity_aware) ++plan_info_.needed_cols;
-        }
-        if (r != me) {
-          if (!opt.sparsity_aware) plan_info_.needed_cols += nzc;
-          plans[static_cast<std::size_t>(r)] =
-              block_fetch_plan(nzc, opt.block_fetch_k, needed, opt.merge_adjacent_blocks);
+          if (r != me) ++plan_info_.needed_cols;
         }
       }
       atilde_gids.reserve(kept_cols);
@@ -284,7 +315,7 @@ class SpgemmPlan1D {
       const auto& cp = meta.cp[static_cast<std::size_t>(r)];
       const auto nzc = static_cast<index_t>(gids.size());
       if (nzc == 0) continue;
-      const auto& needed = needed_all[static_cast<std::size_t>(r)];
+      const auto& needed = owners[static_cast<std::size_t>(r)].needed;
 
       if (r == me) {
         // Local slice: no fetch; copy structure straight out of A_i and
@@ -303,7 +334,7 @@ class SpgemmPlan1D {
         continue;
       }
 
-      for (const auto& range : plans[static_cast<std::size_t>(r)]) {
+      for (const auto& range : owners[static_cast<std::size_t>(r)].ranges) {
         const index_t elo = cp[static_cast<std::size_t>(range.begin)];
         const index_t ehi = cp[static_cast<std::size_t>(range.end)];
         const index_t len = ehi - elo;
@@ -713,19 +744,10 @@ double cv_over_mem_a(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<V
   auto meta = detail1d::gather_a_metadata(comm, a);
   BitVector h = detail1d::nonzero_rows(b.local(), a.ncols());
   std::uint64_t planned = 0;
-  for (int r = 0; r < comm.size(); ++r) {
-    if (r == comm.rank()) continue;
-    const auto& gids = meta.gids[static_cast<std::size_t>(r)];
-    const auto nzc = static_cast<index_t>(gids.size());
-    if (nzc == 0) continue;
-    std::vector<bool> needed(static_cast<std::size_t>(nzc), !opt.sparsity_aware);
-    if (opt.sparsity_aware)
-      for (index_t p = 0; p < nzc; ++p)
-        if (h.test(gids[static_cast<std::size_t>(p)])) needed[static_cast<std::size_t>(p)] = true;
-    auto plan = block_fetch_plan(nzc, opt.block_fetch_k, needed, opt.merge_adjacent_blocks);
+  for (int r = 0; r < comm.size(); ++r)
     planned += static_cast<std::uint64_t>(
-        plan_elements(plan, std::span<const index_t>(meta.cp[static_cast<std::size_t>(r)])));
-  }
+        plan_elements(detail1d::plan_owner_fetch(comm, meta, h, r, opt).ranges,
+                      std::span<const index_t>(meta.cp[static_cast<std::size_t>(r)])));
   std::uint64_t planned_total = comm.allreduce_sum(planned);
   auto mem_a = static_cast<std::uint64_t>(a.global_nnz(comm));
   if (mem_a == 0) return 0.0;

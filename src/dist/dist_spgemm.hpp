@@ -267,25 +267,17 @@ AlgoCostInputs gather_algo_cost_inputs(Comm& comm, const DistMatrix1D<VT>& a,
       local_flops += static_cast<std::uint64_t>(cp[pos + 1] - cp[pos]);
     }
 
-    // The SA-1D fetch plan this rank would execute (Algorithm 2 over the
-    // H∩D masks) — volume and message counts without moving any data.
+    // The SA-1D fetch plan this rank would execute (the inspector's own
+    // planner over the H∩D masks) — volume and message counts without
+    // moving any data.
     for (int r = 0; r < comm.size(); ++r) {
       if (r == comm.rank()) continue;
-      const auto& gids = meta.gids[static_cast<std::size_t>(r)];
-      const auto nzc = static_cast<index_t>(gids.size());
-      if (nzc == 0) continue;
-      remote_nzc += static_cast<std::uint64_t>(nzc);
-      std::vector<bool> need(static_cast<std::size_t>(nzc), !opt.sparsity_aware);
-      if (opt.sparsity_aware) {
-        for (index_t p = 0; p < nzc; ++p)
-          if (h.test(gids[static_cast<std::size_t>(p)])) need[static_cast<std::size_t>(p)] = true;
-      }
-      for (index_t p = 0; p < nzc; ++p)
-        if (need[static_cast<std::size_t>(p)]) ++needed;
-      auto plan = block_fetch_plan(nzc, opt.block_fetch_k, need, opt.merge_adjacent_blocks);
-      fetch_msgs += static_cast<std::uint64_t>(plan.size());
+      const auto f = detail1d::plan_owner_fetch(comm, meta, h, r, opt);
+      remote_nzc += f.needed.size();
+      needed += static_cast<std::uint64_t>(std::count(f.needed.begin(), f.needed.end(), true));
+      fetch_msgs += f.ranges.size();
       fetch_elems += static_cast<std::uint64_t>(
-          plan_elements(plan, std::span<const index_t>(meta.cp[static_cast<std::size_t>(r)])));
+          plan_elements(f.ranges, std::span<const index_t>(meta.cp[static_cast<std::size_t>(r)])));
     }
   }
 
@@ -496,11 +488,10 @@ inline std::string options_digest(const DistSpgemmOptions& opt) {
          std::to_string(opt.grid_rows) + "," + std::to_string(opt.grid_cols) + "," +
          std::to_string(opt.expected_iterations) + "," + std::to_string(opt.expected_batch) +
          "," + std::to_string(opt.max_recovery_retries) + "," +
-         std::to_string(opt.sa1d.block_fetch_k) + "," +
+         (opt.sa1d.block_fetch_k ? std::to_string(*opt.sa1d.block_fetch_k) : "ab") + "," +
          std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
          std::to_string(opt.sa1d.threads) + "," +
          std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
-         std::to_string(static_cast<int>(opt.sa1d.merge_adjacent_blocks)) + "," +
          std::to_string(opt.sa1d.prefetch_inflight) + "," +
          std::to_string(static_cast<int>(opt.reorder)) + "," + std::to_string(opt.reorder_seed) +
          "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +

@@ -42,15 +42,18 @@ class DcscMatrix {
 
   static DcscMatrix from_csc(const CscMatrix<VT>& a) {
     DcscMatrix out(a.nrows(), a.ncols());
+    const auto nzc = static_cast<std::size_t>(a.nzc());
+    out.jc_.reserve(nzc);
+    out.cp_.reserve(nzc + 1);
     for (index_t j = 0; j < a.ncols(); ++j) {
       if (a.col_nnz(j) == 0) continue;
       out.jc_.push_back(j);
-      auto rows = a.col_rows(j);
-      auto vals = a.col_vals(j);
-      out.ir_.insert(out.ir_.end(), rows.begin(), rows.end());
-      out.vals_.insert(out.vals_.end(), vals.begin(), vals.end());
-      out.cp_.push_back(static_cast<index_t>(out.ir_.size()));
+      out.cp_.push_back(a.colptr()[static_cast<std::size_t>(j) + 1]);
     }
+    // Empty columns hold no entries, so the row ids and values are CSC's
+    // arrays verbatim: one exact-size copy each.
+    out.ir_ = a.rowids();
+    out.vals_ = a.vals();
     return out;
   }
 

@@ -51,6 +51,22 @@ TEST(Dcsc, RoundTripThroughCsc) {
   EXPECT_EQ(d.to_csc(), csc);
 }
 
+TEST(Dcsc, RoundTripWithLeadingTrailingAndInteriorEmptyColumns) {
+  // 5x9: columns 0-1 (leading), 3-5 (interior) and 8 (trailing) are empty.
+  CooMatrix<double> m(5, 9);
+  m.push(4, 2, 1.5);
+  m.push(0, 2, -2.0);
+  m.push(1, 6, 3.0);
+  m.push(3, 7, 4.0);
+  m.push(2, 7, 5.0);
+  auto csc = CscMatrix<double>::from_coo(m);
+  auto d = DcscMatrix<double>::from_csc(csc);
+  EXPECT_TRUE(d.check_invariants());
+  EXPECT_EQ(d.jc(), (std::vector<index_t>{2, 6, 7}));
+  EXPECT_EQ(d.cp(), (std::vector<index_t>{0, 2, 3, 5}));
+  EXPECT_EQ(d.to_csc(), csc);
+}
+
 TEST(Dcsc, RoundTripOnGeneratedMatrix) {
   auto a = erdos_renyi<double>(200, 4.0, 11);
   auto d = DcscMatrix<double>::from_csc(a);

@@ -3,9 +3,12 @@
 // properties (volume reduction, Ã compaction); the CV/memA advisor.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "core/spgemm1d.hpp"
+#include "dist/dist_spgemm.hpp"
 #include "kernels/spgemm_local.hpp"
 #include "part/permutation.hpp"
 #include "sparse/datasets.hpp"
@@ -117,12 +120,48 @@ TEST(Spgemm1d, ObliviousModeMatchesToo) {
   expect_dist_equals_serial(4, a, a, opt);
 }
 
-TEST(Spgemm1d, MergeAdjacentBlocksMatches) {
-  auto a = mesh2d<double>(12);
-  Spgemm1dOptions opt;
-  opt.merge_adjacent_blocks = true;
-  opt.block_fetch_k = 16;
-  expect_dist_equals_serial(4, a, a, opt);
+TEST(Spgemm1d, AlphaBetaPlanAcrossLinkRegimes) {
+  // The default planner's plan changes with the link rates: alpha = 0 gets
+  // every needed run separately, beta = 0 gets one range per owner, and
+  // ranks_per_node = 2 at P = 4 mixes intra- and inter-node thresholds.
+  // Every regime must stay bit-identical to the serial product, and Auto's
+  // inputs must price exactly the value gets one replay issues.
+  CostParams zero_alpha, zero_beta, mixed;
+  zero_alpha.alpha_inter = zero_alpha.alpha_intra = 0.0;
+  zero_beta.beta_inter = zero_beta.beta_intra = 0.0;
+  mixed.ranks_per_node = 2;
+  const std::pair<const char*, CostParams> regimes[] = {
+      {"alpha=0", zero_alpha},
+      {"beta=0", zero_beta},
+      {"defaults", {}},
+      {"ranks_per_node=2", mixed}};
+  const std::pair<const char*, CscMatrix<double>> operands[] = {
+      {"er", erdos_renyi<double>(150, 4.0, 7)},
+      {"block-clustered", block_clustered<double>(160, 8, 5.0, 0.5, 11)},
+      {"mesh2d", mesh2d<double>(13)}};
+  for (const auto& [regime, params] : regimes) {
+    for (const auto& [name, a] : operands) {
+      const auto want = spgemm(a, a, LocalKernel::Spa);
+      for (int P : {2, 4, 7}) {
+        Machine m(P, params);
+        m.run([&](Comm& c) {
+          auto da = DistMatrix1D<double>::from_global(c, a);
+          const AlgoCostInputs in = gather_algo_cost_inputs(c, da, da);
+          SpgemmPlan1D<double> plan(c, da, da);
+          const std::uint64_t msgs0 = c.report().rdma_msgs, bytes0 = c.report().rdma_bytes;
+          auto dc = plan.execute_verified(c, da, da);
+          const std::uint64_t msgs = c.allreduce_sum(c.report().rdma_msgs - msgs0);
+          const std::uint64_t bytes = c.allreduce_sum(c.report().rdma_bytes - bytes0);
+          auto got = dc.gather(c);
+          if (c.rank() != 0) return;
+          SCOPED_TRACE(std::string(regime) + " " + name + " P=" + std::to_string(P));
+          EXPECT_TRUE(got == want);
+          EXPECT_EQ(msgs, in.sa1d_fetch_msgs);
+          EXPECT_EQ(bytes / sizeof(double), in.sa1d_fetch_elems);
+        });
+      }
+    }
+  }
 }
 
 TEST(Spgemm1d, ThreadedLocalKernelMatches) {

@@ -114,8 +114,6 @@ TEST(SpgemmPlan1d, ReuseWorksAcrossOptionVariants) {
   auto mpat = block_clustered<double>(128, 8, 4.0, 0.4, 9);
   expect_reuse_bit_identical(4, mpat, mpat, 3, {.block_fetch_k = 8});
   expect_reuse_bit_identical(4, mpat, mpat, 3, {.sparsity_aware = false});
-  expect_reuse_bit_identical(4, mpat, mpat, 3,
-                             {.block_fetch_k = 16, .merge_adjacent_blocks = true});
   expect_reuse_bit_identical(2, mpat, mpat, 3, {.threads = 3});
 }
 
