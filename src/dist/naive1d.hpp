@@ -202,9 +202,12 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
     }
     {
       // Streaming per-hop merge: collapse the accumulator after every hop
-      // instead of caching every hop's partials until a terminal merge —
-      // bit-identical, and the composed fold program equals the terminal
-      // capture (see StreamingTripleMerge in sparse/coo.hpp).
+      // instead of caching every hop's partials until a terminal merge. The
+      // hop's pushes are column-sorted with rows out of order, so only they
+      // are sorted (column by column) before one linear merge into the
+      // canonical accumulator — bit-identical, and the composed fold
+      // program equals the terminal capture (see StreamingTripleMerge in
+      // sparse/coo.hpp).
       auto ph = comm.phase(plan != nullptr ? Phase::Plan : Phase::Other);
       const std::uint64_t before = acc.triples().size();
       rep.mem_charge(before, before * tb);  // merge out-buffer transient

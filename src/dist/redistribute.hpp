@@ -13,6 +13,7 @@
 // a full Triple), bit-identical to the fresh result.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -25,9 +26,8 @@
 
 namespace sa1d {
 
-// merge_triples_stable and its streaming round-by-round twin
-// (StreamingTripleMerge) live in sparse/coo.hpp next to the triple type;
-// every consumer here reaches them through the include above.
+// The deterministic partial-C fold (StreamingTripleMerge, one linear merge
+// per arriving chunk) lives in sparse/coo.hpp next to the triple type.
 
 /// Resolves and validates the q_r × q_c process grid for P ranks: auto
 /// shape when both overrides are 0 (nearest-square factorization — always
@@ -158,34 +158,44 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
     chunk = req.take_from(p);
     auto ph_push = comm.phase(Phase::Other);
     rep.mem_charge(chunk.size(), chunk.size() * tb);  // block assembly
-    for (auto& t : chunk) blk.push(t.row, t.col, t.val);
+    blk.triples().insert(blk.triples().end(), chunk.begin(), chunk.end());
   }
   auto ph = comm.phase(Phase::Other);
-  // The source was canonical and each nonzero has one target, so this only
+  // Sources own ascending column ranges and send their chunks column-major,
+  // so the rank-ordered concatenation is normally canonical already. The
+  // sort stays as the fallback: each nonzero has one target, so it only
   // sorts — no duplicate can arise, and the merge is semiring-neutral.
-  blk.canonicalize();
+  const bool arrived_canonical = blk.is_canonical();
+  if (!arrived_canonical) blk.canonicalize();
   auto out = CscMatrix<VT>::from_coo(blk);
   // The COO assembly buffer dies here; the CSC block it became is a
   // resident operand block, outside the transient-triples budget.
   rep.mem_release(blk.triples().size(), blk.triples().size() * tb);
   if (route != nullptr) {
     // Receiver placement: (col, row) keys are unique, so each flat incoming
-    // position maps to exactly one slot of the canonical block — structural
-    // work, accounted as Plan.
+    // position maps to exactly one slot of the canonical block (the
+    // identity when the arrivals were canonical) — structural work,
+    // accounted as Plan.
     auto ph_plan = comm.phase(Phase::Plan);
     route->recv_counts.assign(static_cast<std::size_t>(P), 0);
-    std::vector<Triple<index_t>> keyed;  // (row, col, flat) in arrival order
-    index_t flat = 0;
-    for (std::size_t r = 0; r < recv.size(); ++r) {
+    for (std::size_t r = 0; r < recv.size(); ++r)
       route->recv_counts[r] = static_cast<index_t>(recv[r].size());
-      for (const auto& t : recv[r]) keyed.push_back({t.row, t.col, flat++});
+    route->recv_place.resize(blk.triples().size());
+    if (arrived_canonical) {
+      std::iota(route->recv_place.begin(), route->recv_place.end(), index_t{0});
+    } else {
+      std::vector<Triple<index_t>> keyed;  // (row, col, flat) in arrival order
+      keyed.reserve(blk.triples().size());
+      index_t flat = 0;
+      for (const auto& chunk : recv)
+        for (const auto& t : chunk) keyed.push_back({t.row, t.col, flat++});
+      std::sort(keyed.begin(), keyed.end(),
+                [](const Triple<index_t>& a, const Triple<index_t>& b) {
+                  return a.col != b.col ? a.col < b.col : a.row < b.row;
+                });
+      for (std::size_t i = 0; i < keyed.size(); ++i)
+        route->recv_place[static_cast<std::size_t>(keyed[i].val)] = static_cast<index_t>(i);
     }
-    std::sort(keyed.begin(), keyed.end(), [](const Triple<index_t>& a, const Triple<index_t>& b) {
-      return a.col != b.col ? a.col < b.col : a.row < b.row;
-    });
-    route->recv_place.assign(keyed.size(), 0);
-    for (std::size_t i = 0; i < keyed.size(); ++i)
-      route->recv_place[static_cast<std::size_t>(keyed[i].val)] = static_cast<index_t>(i);
     route->block = out;
   }
   return out;
@@ -226,13 +236,14 @@ struct ScatterRoute {
   }
 };
 
-/// Scatters per-rank partial products (COO, global coordinates) into the 1D
-/// column distribution given by `out_bounds`, merging duplicates — partials
-/// of the same entry from different SUMMA stages or 3D layers — with the
-/// semiring's ⊕ (deterministically: ties fold in arrival order, so a
-/// captured program replays bit-exactly). One all-to-all by column owner;
-/// the result is born distributed (no global gather). Collective. `route`
-/// (optional) captures the value-only replay program.
+/// Scatters per-rank partial products (canonical COO, global coordinates)
+/// into the 1D column distribution given by `out_bounds`, merging
+/// duplicates — partials of the same entry from different SUMMA stages or
+/// 3D layers — with the semiring's ⊕ (deterministically: ties fold in
+/// arrival order, so a captured program replays bit-exactly). One
+/// all-to-all by column owner; the result is born distributed (no global
+/// gather). Collective. `route` (optional) captures the value-only replay
+/// program.
 template <typename SR, typename VT>
 DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, index_t nrows,
                                         index_t ncols, std::vector<index_t> out_bounds,
@@ -240,17 +251,31 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
   const int P = comm.size();
   require(out_bounds.size() == static_cast<std::size_t>(P) + 1,
           "redistribute_coo_to_1d: out_bounds size must be P+1");
+  require(part.is_canonical(), "redistribute_coo_to_1d: the partial must be canonical");
   std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
   {
+    // The partial is column-major, so each destination's triples are one
+    // contiguous column slice, and every chunk is canonical.
     auto ph = comm.phase(Phase::Other);
     if (route != nullptr) route->send_src.assign(static_cast<std::size_t>(P), {});
-    index_t pos = 0;
-    for (const auto& t : part.triples()) {
-      const auto dest = static_cast<std::size_t>(
-          find_owner(std::span<const index_t>(out_bounds), t.col));
-      send[dest].push_back(t);
-      if (route != nullptr) route->send_src[dest].push_back(pos);
-      ++pos;
+    const auto& pt = part.triples();
+    auto col_lb = [&](index_t c) {
+      return static_cast<std::size_t>(
+          std::lower_bound(pt.begin(), pt.end(), c,
+                           [](const Triple<VT>& t, index_t v) { return t.col < v; }) -
+          pt.begin());
+    };
+    std::size_t hi = col_lb(out_bounds[0]);
+    for (std::size_t d = 0; d < static_cast<std::size_t>(P); ++d) {
+      const std::size_t lo = hi;
+      hi = col_lb(out_bounds[d + 1]);
+      send[d].assign(pt.begin() + static_cast<std::ptrdiff_t>(lo),
+                     pt.begin() + static_cast<std::ptrdiff_t>(hi));
+      if (route != nullptr) {
+        route->send_src[d].resize(hi - lo);
+        std::iota(route->send_src[d].begin(), route->send_src[d].end(),
+                  static_cast<index_t>(lo));
+      }
     }
   }
   const index_t lo = out_bounds[static_cast<std::size_t>(comm.rank())];
@@ -263,18 +288,17 @@ DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, i
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
   auto add = [](typename SR::value_type x, typename SR::value_type y) { return SR::add(x, y); };
-  // Streaming rounds-merge: the accumulator collapses to canonical form
-  // after every source's chunk, so its footprint never exceeds (merged C
-  // slice + one chunk + that round's merge scratch). The terminal merge
-  // this replaces held every layer's/stage-owner's partials at once *plus*
-  // an equally sized merge output buffer — ~2x the final partial-C slice on
-  // the split-3D cross-layer fold. Bit-identical either way: the per-key
-  // fold is the left fold in flat (rank-major) arrival order regardless of
-  // where the round boundaries fall.
+  // Streaming rounds-merge: every source's chunk is a canonical slice, so
+  // each arrival folds into the canonical accumulator with one linear
+  // two-way merge, and the footprint never exceeds (merged C slice + one
+  // chunk + that round's merge output). Bit-identical to a terminal stable
+  // merge: the per-key fold is the left fold in flat (rank-major) arrival
+  // order regardless of where the round boundaries fall.
   auto fold_chunk = [&](int p, std::vector<Triple<VT>>& chunk) {
     counts[static_cast<std::size_t>(p)] = static_cast<index_t>(chunk.size());
     auto ph_push = comm.phase(Phase::Other);
     rep.mem_charge(chunk.size(), chunk.size() * tb);  // accumulator growth
+    local.triples().reserve(local.triples().size() + chunk.size());
     for (auto& t : chunk) local.push(t.row, t.col - lo, t.val);
     const std::uint64_t before = local.triples().size();
     rep.mem_charge(before, before * tb);  // merge output buffer

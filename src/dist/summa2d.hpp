@@ -282,6 +282,7 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
     {
       auto ph = comm.phase(Phase::Other);
       const std::size_t pre = acc.triples().size();
+      acc.triples().reserve(pre + static_cast<std::size_t>(c_blk.nnz()));
       for (index_t j = 0; j < c_blk.ncols(); ++j) {
         auto rows = c_blk.col_rows(j);
         auto vals = c_blk.col_vals(j);
@@ -292,11 +293,11 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
       rep.mem_charge(grew, grew * tb);
     }
     {
-      // Streaming per-stage merge: collapse the accumulator after every
-      // stage instead of holding all stage partials until one terminal
-      // merge, bounding the resident footprint at (merged so far + one
-      // stage's pushes). Bit-identical to the terminal merge, and the
-      // composed fold program equals the terminal capture — see
+      // Streaming per-stage merge: the stage's c_blk arrives in canonical
+      // order, so the round is one linear two-way merge into the canonical
+      // accumulator, bounding the resident footprint at (merged so far +
+      // one stage's pushes). Bit-identical to a terminal stable merge, and
+      // the composed fold program equals its capture — see
       // StreamingTripleMerge in sparse/coo.hpp.
       auto ph = comm.phase(sched != nullptr ? Phase::Plan : Phase::Other);
       const std::uint64_t before = acc.triples().size();
@@ -313,10 +314,11 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   // column gj.
   pipeline_stages<Triple<VT>>(comm, row_comm, col_comm, s, spc, spr, budgeted, extract,
                               run_stage);
-  // The per-stage streaming rounds leave `acc` already merged — the scatter
+  // The per-stage streaming rounds leave `acc` canonical — the scatter
   // carries post-merge volume (what the cost model prices), not duplicates
-  // per stage — and the composed fold program equals a terminal
-  // merge_triples_stable capture, so replays are interchangeable.
+  // per stage, and packs each destination as one column slice — and the
+  // composed fold program equals a terminal stable-merge capture, so
+  // replays are interchangeable.
   if (sched != nullptr) sched->acc_nnz = acc.triples().size();
 }
 

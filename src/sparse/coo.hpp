@@ -92,68 +92,31 @@ class CooMatrix {
   std::vector<Triple<VT>> t_;
 };
 
-/// Sorts `t` by (col, row) breaking ties by original position and ⊕-merges
-/// duplicates left to right — a *deterministic* merge (std::sort's tie order
-/// is unspecified, so canonicalize_with cannot be replayed bit-exactly).
-/// `dst`/`first` (optional, but only together) capture the fold program:
-/// original triple i lands in output slot (*dst)[i], assigning when
-/// (*first)[i] and ⊕-accumulating otherwise — replaying the program in
-/// original order reproduces the merged values bit for bit.
-template <typename Add, typename VT>
-void merge_triples_stable(std::vector<Triple<VT>>& t, Add add,
-                          std::vector<index_t>* dst = nullptr,
-                          std::vector<std::uint8_t>* first = nullptr) {
-  require((dst == nullptr) == (first == nullptr),
-          "merge_triples_stable: dst and first capture the fold program together — "
-          "pass both or neither");
-  std::vector<index_t> perm(t.size());
-  std::iota(perm.begin(), perm.end(), index_t{0});
-  std::sort(perm.begin(), perm.end(), [&](index_t x, index_t y) {
-    const auto& a = t[static_cast<std::size_t>(x)];
-    const auto& b = t[static_cast<std::size_t>(y)];
-    if (a.col != b.col) return a.col < b.col;
-    if (a.row != b.row) return a.row < b.row;
-    return x < y;
-  });
-  if (dst != nullptr) {
-    dst->assign(t.size(), 0);
-    first->assign(t.size(), 0);
-  }
-  std::vector<Triple<VT>> out;
-  out.reserve(t.size());
-  for (auto i : perm) {
-    const auto& ti = t[static_cast<std::size_t>(i)];
-    if (out.empty() || out.back().col != ti.col || out.back().row != ti.row) {
-      out.push_back(ti);
-      if (dst != nullptr) {
-        (*dst)[static_cast<std::size_t>(i)] = static_cast<index_t>(out.size() - 1);
-        (*first)[static_cast<std::size_t>(i)] = 1;
-      }
-    } else {
-      out.back().val = add(out.back().val, ti.val);
-      if (dst != nullptr) (*dst)[static_cast<std::size_t>(i)] = static_cast<index_t>(out.size() - 1);
-    }
-  }
-  t = std::move(out);
-}
-
-/// Incremental (streaming) variant of merge_triples_stable: call round()
-/// after appending each batch of partial triples — a ring hop, a SUMMA
-/// stage, one scatter chunk — and the vector collapses to canonical form
-/// after every round instead of holding all pushes until a terminal merge.
-/// The peak footprint drops from Σ pushes to (merged so far + one round's
-/// pushes), which is what the peak-triples budget bounds.
+/// Streaming deterministic merge of partial triples: call round() after
+/// appending each batch — a SUMMA stage, a ring hop, one scatter chunk — and
+/// the vector collapses to canonical (col-major, unique-key) form after every
+/// round instead of holding all pushes until a terminal merge. The peak
+/// footprint is (merged so far + one round's pushes), which is what the
+/// peak-triples budget bounds.
 ///
-/// Bit-identity and program equivalence: the merged array AND the composed
-/// dst/first fold program after the last round are byte-identical to one
-/// terminal merge_triples_stable over the same pushes in the same order.
-/// Per key, the fold is the left fold in push order both ways — a
-/// previously-merged entry is canonical (unique key, lowest index), so it
-/// sorts before any same-key triple appended later under the
-/// (col, row, original-index) tie-break, and composing each round's capture
-/// through the previous rounds' slots preserves every push's final slot and
-/// assign/accumulate flag. Replay programs captured through either path are
-/// therefore interchangeable.
+/// A round is one linear two-way merge of the canonical prefix
+/// [0, merged()) with the run appended since the last round. A run already
+/// sorted by (col, row) — a SUMMA stage's CSC block, a canonical sender's
+/// scatter chunk — is merged as is; any other run (a ring hop's, sorted by
+/// column with rows out of order and repeated keys) gets a stable sort of
+/// the run alone. Cost per round: O(N + R) for a sorted run, O(N + R log R)
+/// otherwise (N = prefix length, R = run length), plus one remap of every
+/// earlier push's slot when the fold program is captured.
+///
+/// Tie rule and bit-identity: on equal keys the prefix entry goes first,
+/// then the run's entries in push order, so each key's value is the left
+/// ⊕-fold of its pushes in push order — for any ⊕, commutative or not. The
+/// merged array AND the composed dst/first fold program after the last
+/// round are byte-identical to one terminal stable merge (sort by (col, row,
+/// push index), fold left to right) over the same pushes, wherever the
+/// round boundaries fall; replay programs captured either way are
+/// interchangeable. The output and program scratch buffers live in the
+/// merger and are reused from round to round.
 template <typename VT>
 class StreamingTripleMerge {
  public:
@@ -164,35 +127,96 @@ class StreamingTripleMerge {
   /// Merges the triples appended since the previous round (positions
   /// [merged(), t.size())) into the canonical prefix. `dst`/`first`
   /// (optional, but only together) hold the composed fold program across
-  /// all rounds so far: entries for earlier pushes are remapped through
-  /// this round's slot movement, entries for this round's pushes appended.
+  /// all rounds so far: push i lands in output slot (*dst)[i], assigning
+  /// when (*first)[i] and ⊕-accumulating otherwise. Entries for earlier
+  /// pushes are remapped through this round's slot movement (a prefix entry
+  /// never gains or loses a push, so their first flags are untouched);
+  /// entries for this round's pushes are appended.
   template <typename Add>
   void round(std::vector<Triple<VT>>& t, Add add, std::vector<index_t>* dst = nullptr,
              std::vector<std::uint8_t>* first = nullptr) {
     require((dst == nullptr) == (first == nullptr),
             "StreamingTripleMerge::round: dst and first capture the fold program "
             "together — pass both or neither");
-    const std::size_t m_prev = merged_;
-    if (t.size() == m_prev) return;  // nothing appended this round
-    if (dst == nullptr) {
-      merge_triples_stable(t, add);
-    } else {
-      std::vector<index_t> rdst;
-      std::vector<std::uint8_t> rfirst;
-      merge_triples_stable(t, add, &rdst, &rfirst);
-      // Compose: earlier pushes' slots move with their canonical entry
-      // (always an "accumulate into existing" from this round's viewpoint,
-      // so their first flags are untouched); this round's pushes append.
-      for (auto& d : *dst) d = rdst[static_cast<std::size_t>(d)];
-      dst->insert(dst->end(), rdst.begin() + static_cast<std::ptrdiff_t>(m_prev), rdst.end());
-      first->insert(first->end(), rfirst.begin() + static_cast<std::ptrdiff_t>(m_prev),
-                    rfirst.end());
+    const std::size_t m = merged_;
+    const std::size_t n = t.size();
+    if (n == m) return;  // nothing appended this round
+    const bool capture = dst != nullptr;
+    const std::size_t r = n - m;
+
+    // Run order: one linear pass finds out whether the run is sorted by
+    // (col, row), or at least by column.
+    bool sorted = true, col_sorted = true;
+    for (std::size_t i = m + 1; i < n; ++i) {
+      if (t[i].col < t[i - 1].col) col_sorted = false;
+      if (less(t[i], t[i - 1])) sorted = false;
     }
+    if (!sorted) {
+      // Stable indirect sort of the run alone, by (col, row, push index); a
+      // column-sorted run sorts column by column.
+      order_.resize(r);
+      std::iota(order_.begin(), order_.end(), std::size_t{0});
+      auto by_key = [&](std::size_t x, std::size_t y) {
+        const auto& a = t[m + x];
+        const auto& b = t[m + y];
+        if (a.col != b.col) return a.col < b.col;
+        if (a.row != b.row) return a.row < b.row;
+        return x < y;
+      };
+      std::size_t lo = 0;
+      for (std::size_t hi = 1; hi <= r; ++hi) {
+        if (hi < r && (!col_sorted || t[m + hi].col == t[m + lo].col)) continue;
+        std::sort(order_.begin() + static_cast<std::ptrdiff_t>(lo),
+                  order_.begin() + static_cast<std::ptrdiff_t>(hi), by_key);
+        lo = hi;
+      }
+    }
+
+    out_.clear();
+    out_.reserve(n);
+    const std::size_t pushed = capture ? dst->size() : 0;  // pushes of earlier rounds
+    if (capture) {
+      slot_.resize(m);
+      dst->resize(pushed + r);
+      first->resize(pushed + r, 0);
+    }
+    std::size_t i = 0;
+    for (std::size_t k = 0; k < r; ++k) {
+      const std::size_t j = sorted ? k : order_[k];  // push offset within the run
+      const auto& x = t[m + j];
+      // Prefix entries up to and including x's key go first; prefix keys are
+      // unique and precede every equal run key, so each opens its own slot.
+      for (; i < m && !less(x, t[i]); ++i) {
+        if (capture) slot_[i] = static_cast<index_t>(out_.size());
+        out_.push_back(t[i]);
+      }
+      if (!out_.empty() && out_.back().col == x.col && out_.back().row == x.row) {
+        out_.back().val = add(out_.back().val, x.val);
+      } else {
+        out_.push_back(x);
+        if (capture) (*first)[pushed + j] = 1;
+      }
+      if (capture) (*dst)[pushed + j] = static_cast<index_t>(out_.size() - 1);
+    }
+    for (; i < m; ++i) {
+      if (capture) slot_[i] = static_cast<index_t>(out_.size());
+      out_.push_back(t[i]);
+    }
+    for (std::size_t q = 0; q < pushed; ++q)
+      (*dst)[q] = slot_[static_cast<std::size_t>((*dst)[q])];
+    t.swap(out_);  // the old buffer becomes next round's output scratch
     merged_ = t.size();
   }
 
  private:
+  static bool less(const Triple<VT>& a, const Triple<VT>& b) {
+    return a.col != b.col ? a.col < b.col : a.row < b.row;
+  }
+
   std::size_t merged_ = 0;
+  std::vector<Triple<VT>> out_;     ///< merge output, swapped with the caller's vector
+  std::vector<std::size_t> order_;  ///< sorted run order (unsorted runs only)
+  std::vector<index_t> slot_;       ///< prefix entry -> merged slot (capture only)
 };
 
 }  // namespace sa1d

@@ -35,19 +35,24 @@ class CscMatrix {
             "CscMatrix: bad colptr bounds");
   }
 
-  /// Conversion from canonical COO (sorts a copy if needed).
+  /// Conversion from COO: canonical input converts directly; any other
+  /// input is canonicalized (sorted, duplicates summed) in a copy first.
   static CscMatrix from_coo(const CooMatrix<VT>& coo) {
-    CooMatrix<VT> c = coo;
-    if (!c.is_canonical()) c.canonicalize();
-    CscMatrix out(c.nrows(), c.ncols());
-    out.rowids_.reserve(static_cast<std::size_t>(c.nnz()));
-    out.vals_.reserve(static_cast<std::size_t>(c.nnz()));
-    for (const auto& t : c.triples()) {
-      ++out.colptr_[static_cast<std::size_t>(t.col) + 1];
-      out.rowids_.push_back(t.row);
-      out.vals_.push_back(t.val);
+    if (!coo.is_canonical()) {
+      CooMatrix<VT> c = coo;
+      c.canonicalize();
+      return from_coo(c);
     }
-    for (std::size_t j = 0; j < static_cast<std::size_t>(c.ncols()); ++j)
+    const auto& t = coo.triples();
+    CscMatrix out(coo.nrows(), coo.ncols());
+    out.rowids_.resize(t.size());
+    out.vals_.resize(t.size());
+    for (std::size_t p = 0; p < t.size(); ++p) {
+      ++out.colptr_[static_cast<std::size_t>(t[p].col) + 1];
+      out.rowids_[p] = t[p].row;
+      out.vals_[p] = t[p].val;
+    }
+    for (std::size_t j = 0; j < static_cast<std::size_t>(coo.ncols()); ++j)
       out.colptr_[j + 1] += out.colptr_[j];
     return out;
   }

@@ -57,8 +57,29 @@ class DcscMatrix {
     return out;
   }
 
+  /// Conversion from COO without an O(ncols) detour: canonical input builds
+  /// jc/cp/ir/vals directly; any other input is canonicalized (sorted,
+  /// duplicates summed) in a copy first.
   static DcscMatrix from_coo(const CooMatrix<VT>& coo) {
-    return from_csc(CscMatrix<VT>::from_coo(coo));
+    if (!coo.is_canonical()) {
+      CooMatrix<VT> c = coo;
+      c.canonicalize();
+      return from_coo(c);
+    }
+    const auto& t = coo.triples();
+    DcscMatrix out(coo.nrows(), coo.ncols());
+    out.ir_.resize(t.size());
+    out.vals_.resize(t.size());
+    for (std::size_t p = 0; p < t.size(); ++p) {
+      if (p == 0 || t[p].col != t[p - 1].col) {
+        if (p != 0) out.cp_.push_back(static_cast<index_t>(p));
+        out.jc_.push_back(t[p].col);
+      }
+      out.ir_[p] = t[p].row;
+      out.vals_[p] = t[p].val;
+    }
+    if (!t.empty()) out.cp_.push_back(static_cast<index_t>(t.size()));
+    return out;
   }
 
   [[nodiscard]] CscMatrix<VT> to_csc() const {

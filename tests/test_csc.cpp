@@ -38,6 +38,44 @@ TEST(Csc, FromUnsortedCooCanonicalizes) {
   EXPECT_EQ(a.col_nnz(1), 1);
 }
 
+/// The conversion from_coo replaced: canonicalize a full copy, then count
+/// columns and push entries one at a time.
+CscMatrix<double> csc_via_canonical_copy(const CooMatrix<double>& coo) {
+  CooMatrix<double> c = coo;
+  if (!c.is_canonical()) c.canonicalize();
+  std::vector<index_t> colptr(static_cast<std::size_t>(c.ncols()) + 1, 0);
+  std::vector<index_t> rowids;
+  std::vector<double> vals;
+  for (const auto& t : c.triples()) {
+    ++colptr[static_cast<std::size_t>(t.col) + 1];
+    rowids.push_back(t.row);
+    vals.push_back(t.val);
+  }
+  for (std::size_t j = 0; j + 1 < colptr.size(); ++j) colptr[j + 1] += colptr[j];
+  return CscMatrix<double>(c.nrows(), c.ncols(), std::move(colptr), std::move(rowids),
+                           std::move(vals));
+}
+
+TEST(Csc, FromCooMatchesCanonicalCopyRoute) {
+  CooMatrix<double> unsorted(4, 5);  // out of order, with duplicate keys
+  unsorted.push(3, 4, 1.0);
+  unsorted.push(0, 1, 2.0);
+  unsorted.push(3, 4, 0.5);
+  unsorted.push(2, 0, -1.0);
+  unsorted.push(0, 1, 1.0);
+  CooMatrix<double> hyper(7, 1000000);  // hypersparse: 3 nonzeros
+  hyper.push(6, 3, 1.0);
+  hyper.push(0, 500000, 2.0);
+  hyper.push(2, 999999, 3.0);
+  for (const auto& coo : {small_coo(), unsorted, hyper, CooMatrix<double>(3, 4)}) {
+    const auto a = CscMatrix<double>::from_coo(coo);
+    EXPECT_EQ(a, csc_via_canonical_copy(coo));
+  }
+  EXPECT_TRUE(small_coo().is_canonical());
+  EXPECT_TRUE(hyper.is_canonical());
+  EXPECT_EQ(CscMatrix<double>::from_coo(unsorted).nnz(), 3);
+}
+
 TEST(Csc, RoundTripThroughCoo) {
   auto a = CscMatrix<double>::from_coo(small_coo());
   auto back = CscMatrix<double>::from_coo(a.to_coo());

@@ -99,6 +99,27 @@ TEST(Dcsc, ConstructorValidatesShape) {
   EXPECT_THROW(DcscMatrix<double>(2, 2, {0}, {0, 2}, {0}, {1.0}), std::invalid_argument);
 }
 
+TEST(Dcsc, FromCooMatchesCscThenDcscRoute) {
+  CooMatrix<double> unsorted(4, 6);  // out of order, with duplicate keys
+  unsorted.push(3, 5, 1.0);
+  unsorted.push(0, 1, 2.0);
+  unsorted.push(3, 5, 0.5);
+  unsorted.push(2, 0, -1.0);
+  unsorted.push(0, 1, 1.0);
+  CooMatrix<double> hyper(7, 1000000);  // hypersparse: 3 nonzeros
+  hyper.push(6, 3, 1.0);
+  hyper.push(0, 500000, 2.0);
+  hyper.push(2, 999999, 3.0);
+  for (const auto& coo : {hypersparse_coo(), unsorted, hyper, CooMatrix<double>(3, 4)}) {
+    const auto d = DcscMatrix<double>::from_coo(coo);
+    EXPECT_EQ(d, DcscMatrix<double>::from_csc(CscMatrix<double>::from_coo(coo)));
+    EXPECT_TRUE(d.check_invariants());
+  }
+  EXPECT_TRUE(hypersparse_coo().is_canonical());
+  EXPECT_EQ(DcscMatrix<double>::from_coo(unsorted).nzc(), 3);
+  EXPECT_EQ(DcscMatrix<double>::from_coo(hyper).nzc(), 3);
+}
+
 TEST(Dcsc, StorageIsNzcNotNcols) {
   // A 1e6-column matrix with 2 nonzeros must not allocate per-column arrays.
   CooMatrix<double> m(10, 1000000);
