@@ -74,10 +74,9 @@ struct GridRoute {
   /// Per destination rank: positions into the local slice's val array, in
   /// the exact order the fresh call packed triples.
   std::vector<std::vector<index_t>> send_src;
-  /// recv_place[flat] = slot in `block`'s val array for the flat-th
-  /// received value (ranks in order, chunk order within each rank).
-  std::vector<index_t> recv_place;
   /// Per source rank: element count of its chunk (replay sizes + accounting).
+  /// The flat-th received value (ranks in order, chunk order within each
+  /// rank) is slot `flat` of `block`'s val array.
   std::vector<index_t> recv_counts;
   /// This rank's cached block: structure final, values overwritten per replay.
   CscMatrix<VT> block;
@@ -97,7 +96,7 @@ struct GridRoute {
   [[nodiscard]] std::uint64_t bytes_resident() const {
     std::uint64_t b = 0;
     for (const auto& src : send_src) b += src.size() * sizeof(index_t);
-    b += recv_place.size() * sizeof(index_t) + recv_counts.size() * sizeof(index_t);
+    b += recv_counts.size() * sizeof(index_t);
     b += block.colptr().size() * sizeof(index_t) + block.rowids().size() * sizeof(index_t) +
          block.vals().size() * sizeof(VT);
     return b;
@@ -145,7 +144,7 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
   const index_t nc = col_bounds[static_cast<std::size_t>(my_bj) + 1] -
                      col_bounds[static_cast<std::size_t>(my_bj)];
   CooMatrix<VT> blk(nr, nc);
-  std::vector<std::vector<Triple<VT>>> recv(static_cast<std::size_t>(P));
+  std::vector<index_t> counts(static_cast<std::size_t>(P), 0);
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
   // Pipelined receive: fold each source's chunk into the block as it
@@ -154,48 +153,27 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
   // chunks' push work.
   auto req = comm.ialltoallv(std::move(send));
   for (int p = 0; p < P; ++p) {
-    auto& chunk = recv[static_cast<std::size_t>(p)];
-    chunk = req.take_from(p);
+    auto chunk = req.take_from(p);
+    counts[static_cast<std::size_t>(p)] = static_cast<index_t>(chunk.size());
     auto ph_push = comm.phase(Phase::Other);
     rep.mem_charge(chunk.size(), chunk.size() * tb);  // block assembly
     blk.triples().insert(blk.triples().end(), chunk.begin(), chunk.end());
   }
   auto ph = comm.phase(Phase::Other);
-  // Sources own ascending column ranges and send their chunks column-major,
-  // so the rank-ordered concatenation is normally canonical already. The
-  // sort stays as the fallback: each nonzero has one target, so it only
-  // sorts — no duplicate can arise, and the merge is semiring-neutral.
-  const bool arrived_canonical = blk.is_canonical();
-  if (!arrived_canonical) blk.canonicalize();
+  // Sources own ascending column ranges and send their chunks column-major
+  // with rows ascending (the DCSC invariant), so the rank-ordered
+  // concatenation is canonical: the block needs no sort, and a replay writes
+  // the flat incoming values straight into the cached block's val array.
+  require(blk.is_canonical(),
+          "redistribute_1d_to_2d_grid: the arrivals are not canonical — a local slice "
+          "breaks the DCSC invariant (columns ascending, rows ascending within a column)");
   auto out = CscMatrix<VT>::from_coo(blk);
   // The COO assembly buffer dies here; the CSC block it became is a
   // resident operand block, outside the transient-triples budget.
   rep.mem_release(blk.triples().size(), blk.triples().size() * tb);
   if (route != nullptr) {
-    // Receiver placement: (col, row) keys are unique, so each flat incoming
-    // position maps to exactly one slot of the canonical block (the
-    // identity when the arrivals were canonical) — structural work,
-    // accounted as Plan.
     auto ph_plan = comm.phase(Phase::Plan);
-    route->recv_counts.assign(static_cast<std::size_t>(P), 0);
-    for (std::size_t r = 0; r < recv.size(); ++r)
-      route->recv_counts[r] = static_cast<index_t>(recv[r].size());
-    route->recv_place.resize(blk.triples().size());
-    if (arrived_canonical) {
-      std::iota(route->recv_place.begin(), route->recv_place.end(), index_t{0});
-    } else {
-      std::vector<Triple<index_t>> keyed;  // (row, col, flat) in arrival order
-      keyed.reserve(blk.triples().size());
-      index_t flat = 0;
-      for (const auto& chunk : recv)
-        for (const auto& t : chunk) keyed.push_back({t.row, t.col, flat++});
-      std::sort(keyed.begin(), keyed.end(),
-                [](const Triple<index_t>& a, const Triple<index_t>& b) {
-                  return a.col != b.col ? a.col < b.col : a.row < b.row;
-                });
-      for (std::size_t i = 0; i < keyed.size(); ++i)
-        route->recv_place[static_cast<std::size_t>(keyed[i].val)] = static_cast<index_t>(i);
-    }
+    route->recv_counts = std::move(counts);
     route->block = out;
   }
   return out;

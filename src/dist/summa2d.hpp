@@ -431,9 +431,9 @@ void replay_routes_in(Comm& comm, std::span<const GridReplay<VT, SR>> ms) {
         GridRoute<VT>& route = route_of(m, which);
         std::size_t& fl = flat[2 * m + static_cast<std::size_t>(which)];
         const auto n = static_cast<std::size_t>(route.recv_counts[sp]);
-        VT* bv = route.block.mutable_vals().data();
-        for (std::size_t i = 0; i < n; ++i)
-          bv[static_cast<std::size_t>(route.recv_place[fl++])] = chunk[off + i];
+        std::copy_n(chunk.begin() + static_cast<std::ptrdiff_t>(off), n,
+                    route.block.mutable_vals().begin() + static_cast<std::ptrdiff_t>(fl));
+        fl += n;
         off += n;
       }
     }

@@ -102,11 +102,12 @@ class CooMatrix {
 /// A round is one linear two-way merge of the canonical prefix
 /// [0, merged()) with the run appended since the last round. A run already
 /// sorted by (col, row) — a SUMMA stage's CSC block, a canonical sender's
-/// scatter chunk — is merged as is; any other run (a ring hop's, sorted by
-/// column with rows out of order and repeated keys) gets a stable sort of
-/// the run alone. Cost per round: O(N + R) for a sorted run, O(N + R log R)
-/// otherwise (N = prefix length, R = run length), plus one remap of every
-/// earlier push's slot when the fold program is captured.
+/// scatter chunk — is merged as is; any other run gets a stable sort of the
+/// run alone, column by column when it is sorted by column (a ring hop's,
+/// with rows out of order and repeated keys). Cost per round: O(N + R) for
+/// a sorted run, O(N + R log R) otherwise (N = prefix length, R = run
+/// length), plus one remap of every earlier push's slot when the fold
+/// program is captured.
 ///
 /// Tie rule and bit-identity: on equal keys the prefix entry goes first,
 /// then the run's entries in push order, so each key's value is the left
@@ -115,8 +116,8 @@ class CooMatrix {
 /// round are byte-identical to one terminal stable merge (sort by (col, row,
 /// push index), fold left to right) over the same pushes, wherever the
 /// round boundaries fall; replay programs captured either way are
-/// interchangeable. The output and program scratch buffers live in the
-/// merger and are reused from round to round.
+/// interchangeable. The round's output and scratch buffers are freed when
+/// it returns, so between rounds only the caller's vector is resident.
 template <typename VT>
 class StreamingTripleMerge {
  public:
@@ -151,11 +152,13 @@ class StreamingTripleMerge {
       if (t[i].col < t[i - 1].col) col_sorted = false;
       if (less(t[i], t[i - 1])) sorted = false;
     }
+    std::vector<std::size_t> order;
     if (!sorted) {
       // Stable indirect sort of the run alone, by (col, row, push index); a
-      // column-sorted run sorts column by column.
-      order_.resize(r);
-      std::iota(order_.begin(), order_.end(), std::size_t{0});
+      // column-sorted run (a ring hop's) sorts column by column — many short
+      // sorts instead of one long one.
+      order.resize(r);
+      std::iota(order.begin(), order.end(), std::size_t{0});
       auto by_key = [&](std::size_t x, std::size_t y) {
         const auto& a = t[m + x];
         const auto& b = t[m + y];
@@ -166,45 +169,46 @@ class StreamingTripleMerge {
       std::size_t lo = 0;
       for (std::size_t hi = 1; hi <= r; ++hi) {
         if (hi < r && (!col_sorted || t[m + hi].col == t[m + lo].col)) continue;
-        std::sort(order_.begin() + static_cast<std::ptrdiff_t>(lo),
-                  order_.begin() + static_cast<std::ptrdiff_t>(hi), by_key);
+        std::sort(order.begin() + static_cast<std::ptrdiff_t>(lo),
+                  order.begin() + static_cast<std::ptrdiff_t>(hi), by_key);
         lo = hi;
       }
     }
 
-    out_.clear();
-    out_.reserve(n);
+    std::vector<Triple<VT>> out;
+    out.reserve(n);
+    std::vector<index_t> slot;  // prefix entry -> merged slot (capture only)
     const std::size_t pushed = capture ? dst->size() : 0;  // pushes of earlier rounds
     if (capture) {
-      slot_.resize(m);
+      slot.resize(m);
       dst->resize(pushed + r);
       first->resize(pushed + r, 0);
     }
     std::size_t i = 0;
     for (std::size_t k = 0; k < r; ++k) {
-      const std::size_t j = sorted ? k : order_[k];  // push offset within the run
+      const std::size_t j = sorted ? k : order[k];  // push offset within the run
       const auto& x = t[m + j];
       // Prefix entries up to and including x's key go first; prefix keys are
       // unique and precede every equal run key, so each opens its own slot.
       for (; i < m && !less(x, t[i]); ++i) {
-        if (capture) slot_[i] = static_cast<index_t>(out_.size());
-        out_.push_back(t[i]);
+        if (capture) slot[i] = static_cast<index_t>(out.size());
+        out.push_back(t[i]);
       }
-      if (!out_.empty() && out_.back().col == x.col && out_.back().row == x.row) {
-        out_.back().val = add(out_.back().val, x.val);
+      if (!out.empty() && out.back().col == x.col && out.back().row == x.row) {
+        out.back().val = add(out.back().val, x.val);
       } else {
-        out_.push_back(x);
+        out.push_back(x);
         if (capture) (*first)[pushed + j] = 1;
       }
-      if (capture) (*dst)[pushed + j] = static_cast<index_t>(out_.size() - 1);
+      if (capture) (*dst)[pushed + j] = static_cast<index_t>(out.size() - 1);
     }
     for (; i < m; ++i) {
-      if (capture) slot_[i] = static_cast<index_t>(out_.size());
-      out_.push_back(t[i]);
+      if (capture) slot[i] = static_cast<index_t>(out.size());
+      out.push_back(t[i]);
     }
     for (std::size_t q = 0; q < pushed; ++q)
-      (*dst)[q] = slot_[static_cast<std::size_t>((*dst)[q])];
-    t.swap(out_);  // the old buffer becomes next round's output scratch
+      (*dst)[q] = slot[static_cast<std::size_t>((*dst)[q])];
+    t.swap(out);  // the pre-merge buffer dies with `out`, as the callers' gauges assume
     merged_ = t.size();
   }
 
@@ -214,9 +218,6 @@ class StreamingTripleMerge {
   }
 
   std::size_t merged_ = 0;
-  std::vector<Triple<VT>> out_;     ///< merge output, swapped with the caller's vector
-  std::vector<std::size_t> order_;  ///< sorted run order (unsorted runs only)
-  std::vector<index_t> slot_;       ///< prefix entry -> merged slot (capture only)
 };
 
 }  // namespace sa1d

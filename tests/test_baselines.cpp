@@ -168,6 +168,19 @@ TEST(Summa2d, PinnedGridShapeMustFactorP) {
                std::invalid_argument);
 }
 
+TEST(Summa2d, RejectsSliceWithUnsortedRows) {
+  // The grid route-in relies on the DCSC invariant (rows ascending within a
+  // column) to receive canonical blocks without a sort; a hand-made slice
+  // that breaks it is rejected, not silently mis-placed.
+  Machine m(1);
+  EXPECT_THROW(m.run([](Comm& c) {
+    DcscMatrix<double> local(4, 4, {1}, {0, 2}, {3, 1}, {1.0, 2.0});
+    DistMatrix1D<double> da(4, 4, {0, 4}, c.rank(), std::move(local));
+    spgemm_summa_2d_dist(c, da, da, LocalKernel::Hybrid, 1);
+  }),
+               std::invalid_argument);
+}
+
 // ---- Split-3D --------------------------------------------------------------
 
 TEST(Split3d, ValidLayerCounts) {
