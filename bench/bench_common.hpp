@@ -132,19 +132,17 @@ inline double mib(std::uint64_t bytes) { return static_cast<double>(bytes) / (10
 
 /// Serving-cache observability line (companion to the breakdown printers):
 /// the RankReport cache counters plus the per-backend hit split. Every
-/// cache decision is collective — admission, eviction, and demotion are
-/// voted before anyone moves — so the counters are rank-uniform by
-/// construction and rank 0 speaks for the run; the gauge is the agreed
-/// (max-over-ranks) residency.
+/// cache decision is collective — admission and eviction are voted before
+/// anyone moves — so the counters are rank-uniform by construction and
+/// rank 0 speaks for the run; the gauge is the agreed (max-over-ranks)
+/// residency.
 inline void print_cache_counters(const char* label, const RunReport& rep) {
   const auto& r = rep.ranks.front();
   std::printf(
-      "  %-28s cache %llu hits / %llu misses, %llu evictions, %llu demotions, resident %.2f "
-      "MiB\n",
+      "  %-28s cache %llu hits / %llu misses, %llu evictions, resident %.2f MiB\n",
       label, static_cast<unsigned long long>(r.cache_hits),
       static_cast<unsigned long long>(r.cache_misses),
-      static_cast<unsigned long long>(r.cache_evictions),
-      static_cast<unsigned long long>(r.cache_demotions), mib(r.cache_bytes_resident));
+      static_cast<unsigned long long>(r.cache_evictions), mib(r.cache_bytes_resident));
   const Algo algos[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
   std::printf("  %-28s hits by backend:", "");
   for (Algo a : algos)

@@ -9,8 +9,8 @@
 //
 // Also records the cache-side serving behavior: the hot/cold trace hit rate
 // (a warmed tenant set with a fraction of never-seen structures mixed in)
-// and a budget-constrained section where eviction and the windowed-ring
-// demotion fallback are forced.
+// and two budget-constrained sections (grid plans and ring plans) where
+// eviction is forced.
 //
 // --json[=PATH] writes the BENCH_throughput fragment (CI smoke asserts
 // hot hit-rate >= 0.8 and the batch-8 fused speedup >= 1.5x at scale 1).
@@ -245,14 +245,13 @@ struct EvictionStats {
   std::uint64_t budget = 0;
   std::uint64_t unbounded_bytes = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t demotions = 0;
   std::uint64_t resident = 0;
   bool correct = true;  ///< budget-constrained results still match fresh
 };
 
 /// The budget experiment: measure the tenant set's unbounded residency,
-/// then serve under ~60% of it — evictions (grid plans) and windowed-ring
-/// demotions must both fire, and every result must stay correct.
+/// then serve under ~60% of it — evictions must fire, and every result must
+/// stay correct.
 EvictionStats measure_eviction(int P, const CostParams& cp,
                                const std::vector<CscMatrix<double>>& tenants, Algo algo) {
   EvictionStats out;
@@ -275,13 +274,12 @@ EvictionStats measure_eviction(int P, const CostParams& cp,
 
   Machine m(P, cp);
   std::vector<std::uint64_t> ev(static_cast<std::size_t>(P), 0);
-  std::vector<std::uint64_t> dm(static_cast<std::size_t>(P), 0);
   std::vector<std::uint64_t> res(static_cast<std::size_t>(P), 0);
   std::vector<int> ok(static_cast<std::size_t>(P), 1);
   m.run([&](Comm& c) {
     DistSpgemmOptions opt;
     opt.algo = algo;
-    PlanCache<double> cache(out.budget, /*demote_window=*/2);
+    PlanCache<double> cache(out.budget);
     for (int round = 0; round < 2; ++round) {
       for (std::size_t tn = 0; tn < tenants.size(); ++tn) {
         const int t = round * static_cast<int>(tenants.size()) + static_cast<int>(tn);
@@ -295,14 +293,24 @@ EvictionStats measure_eviction(int P, const CostParams& cp,
     }
     const auto me = static_cast<std::size_t>(c.rank());
     ev[me] = cache.stats().evictions;
-    dm[me] = cache.stats().demotions;
     res[me] = cache.stats().bytes_resident;
   });
   out.evictions = ev[0];
-  out.demotions = dm[0];
   out.resident = res[0];
   for (int r = 0; r < P; ++r) out.correct = out.correct && ok[static_cast<std::size_t>(r)] == 1;
   return out;
+}
+
+/// One budget section of the JSON fragment.
+void print_eviction_json(std::FILE* f, const char* key, Algo algo, const EvictionStats& s) {
+  std::fprintf(f,
+               "  \"%s\": {\"backend\": \"%s\", \"budget_bytes\": %llu, "
+               "\"unbounded_bytes\": %llu, \"evictions\": %llu, "
+               "\"resident_bytes\": %llu, \"results_correct\": %s},\n",
+               key, algo_name(algo), static_cast<unsigned long long>(s.budget),
+               static_cast<unsigned long long>(s.unbounded_bytes),
+               static_cast<unsigned long long>(s.evictions),
+               static_cast<unsigned long long>(s.resident), s.correct ? "true" : "false");
 }
 
 struct BackendRow {
@@ -335,7 +343,7 @@ void run_json(const char* json_path) {
   Machine mh(P, cp);
   auto hot = measure_hot_cold(mh, tenants, 64);
   auto evict = measure_eviction(P, cp, tenants, Algo::Summa2D);
-  auto demote = measure_eviction(P, cp, tenants, Algo::Ring1D);
+  auto evict_ring = measure_eviction(P, cp, tenants, Algo::Ring1D);
 
   // Headline: the best batch-8 fused speedup across serving backends (the
   // deployment picks the backend that fuses best for its tenants).
@@ -383,26 +391,8 @@ void run_json(const char* json_path) {
                "  ],\n  \"hot\": {\"hits\": %llu, \"misses\": %llu, \"hit_rate\": %.4f},\n",
                static_cast<unsigned long long>(hot.hits),
                static_cast<unsigned long long>(hot.misses), hot.hit_rate());
-  std::fprintf(f,
-               "  \"eviction\": {\"backend\": \"summa2d\", \"budget_bytes\": %llu, "
-               "\"unbounded_bytes\": %llu, \"evictions\": %llu, \"demotions\": %llu, "
-               "\"resident_bytes\": %llu, \"results_correct\": %s},\n",
-               static_cast<unsigned long long>(evict.budget),
-               static_cast<unsigned long long>(evict.unbounded_bytes),
-               static_cast<unsigned long long>(evict.evictions),
-               static_cast<unsigned long long>(evict.demotions),
-               static_cast<unsigned long long>(evict.resident),
-               evict.correct ? "true" : "false");
-  std::fprintf(f,
-               "  \"demotion\": {\"backend\": \"ring1d\", \"budget_bytes\": %llu, "
-               "\"unbounded_bytes\": %llu, \"evictions\": %llu, \"demotions\": %llu, "
-               "\"resident_bytes\": %llu, \"results_correct\": %s},\n",
-               static_cast<unsigned long long>(demote.budget),
-               static_cast<unsigned long long>(demote.unbounded_bytes),
-               static_cast<unsigned long long>(demote.evictions),
-               static_cast<unsigned long long>(demote.demotions),
-               static_cast<unsigned long long>(demote.resident),
-               demote.correct ? "true" : "false");
+  print_eviction_json(f, "eviction", Algo::Summa2D, evict);
+  print_eviction_json(f, "eviction_ring1d", Algo::Ring1D, evict_ring);
   std::fprintf(f,
                "  \"hot_hit_rate\": %.4f, \"speedup_batch8\": %.3f, "
                "\"speedup_batch8_backend\": \"%s\", \"all_bit_identical\": %s\n}\n",
@@ -455,15 +445,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hot.misses), hot.hit_rate());
   bench::print_cache_counters("hot/cold trace", hot.rep);
   bench::print_peak_memory("hot/cold trace", hot.rep);
-  auto evict = measure_eviction(P, cp, tenants, Algo::Summa2D);
-  std::printf("eviction @%0.f%% budget (summa2d): %llu evictions, resident %.2f/%.2f MiB, %s\n",
-              100.0 * 3 / 5, static_cast<unsigned long long>(evict.evictions),
-              bench::mib(evict.resident), bench::mib(evict.unbounded_bytes),
-              evict.correct ? "results correct" : "RESULTS WRONG");
-  auto demote = measure_eviction(P, cp, tenants, Algo::Ring1D);
-  std::printf("demotion @%0.f%% budget (ring1d): %llu demotions, %llu evictions, %s\n",
-              100.0 * 3 / 5, static_cast<unsigned long long>(demote.demotions),
-              static_cast<unsigned long long>(demote.evictions),
-              demote.correct ? "results correct" : "RESULTS WRONG");
+  for (Algo algo : {Algo::Summa2D, Algo::Ring1D}) {
+    auto evict = measure_eviction(P, cp, tenants, algo);
+    std::printf("eviction @%0.f%% budget (%s): %llu evictions, resident %.2f/%.2f MiB, %s\n",
+                100.0 * 3 / 5, algo_name(algo), static_cast<unsigned long long>(evict.evictions),
+                bench::mib(evict.resident), bench::mib(evict.unbounded_bytes),
+                evict.correct ? "results correct" : "RESULTS WRONG");
+  }
   return 0;
 }

@@ -1,13 +1,13 @@
 // Fig 16 (memory extension): memory-bounded execution. Each backend is run
 // once unbudgeted to anchor its measured peak-triples high-water mark, then
 // swept under peak budgets of {0.75, 0.5, 0.25}× that anchor — the planner
-// resolves a column-panel count (plus windowed ring hops / a bounded stage
-// window) per cell, and the bench records whether the budget was feasible,
-// the measured peak, the panel count, the measured slowdown, and an in-bench
-// bit-identity check against the unbudgeted result. A final Auto cell sets
-// the budget to 0.65× the smallest backend anchor: the monolithic plan is
-// infeasible everywhere, and Auto must cross the cliff by picking a feasible
-// budgeted (backend × panelization) plan instead of failing.
+// resolves a column-panel count (plus a bounded stage window) per cell, and
+// the bench records whether the budget was feasible, the measured peak, the
+// panel count, the measured slowdown, and an in-bench bit-identity check
+// against the unbudgeted result. A final Auto cell sets the budget to 0.65×
+// the smallest backend anchor: the monolithic plan is infeasible everywhere,
+// and Auto must cross the cliff by picking a feasible budgeted (backend ×
+// panelization) plan instead of failing.
 //
 // Cell times are best-of-9 fresh multiplies on one machine, sectioned per
 // rank with phase_sum deltas (the fig15 idiom): the min strips wall-clock

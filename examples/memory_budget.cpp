@@ -2,8 +2,8 @@
 // ways on a simulated 4-rank machine —
 //   1. unbudgeted, to see the natural peak-triples high-water mark;
 //   2. under a peak budget of half that, backend pinned: the planner
-//      resolves a column-panel count (plus windowed ring hops / a bounded
-//      stage window) that fits, and the result stays bit-identical;
+//      resolves a column-panel count (plus a bounded stage window) that
+//      fits, and the result stays bit-identical;
 //   3. the same budget with Algo::Auto: every monolithic plan is modeled
 //      infeasible, and Auto crosses the cliff by picking a feasible
 //      budgeted (backend × panelization) plan instead of failing.

@@ -7,9 +7,9 @@
 // later request replays it with the batch's collectives fused — so a batch
 // of k small multiplies pays roughly one per-phase latency instead of k.
 //
-// A deliberately tight memory budget forces the cache to evict (and to
-// demote ring plans to their windowed fallback first), showing the serving
-// runtime degrading gracefully instead of failing admission.
+// A deliberately tight memory budget forces the cache to evict
+// least-recently-used plans, showing the serving runtime degrading
+// gracefully instead of failing admission.
 //
 //   ./serving_mixed [n] [batch]
 #include <cstdio>
@@ -38,15 +38,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(tenants[2].nnz()));
 
   Machine machine(16);
-  std::uint64_t hits = 0, misses = 0, evictions = 0, demotions = 0, resident = 0;
+  std::uint64_t hits = 0, misses = 0, evictions = 0, resident = 0;
   int served = 0;
   auto report = machine.run([&](Comm& comm) {
     DistSpgemmOptions opt;
     opt.algo = Algo::Auto;
     opt.expected_batch = batch;
     // Budget two tenants' worth of plans: the third admission must evict
-    // (or demote) the least-recently-used plan instead of growing.
-    PlanCache<double> cache(/*budget_bytes=*/0, /*demote_window=*/2);
+    // the least-recently-used plan instead of growing.
+    PlanCache<double> cache(/*budget_bytes=*/0);
     std::uint64_t two_tenant_bytes = 0;
 
     for (int round = 0; round < 6; ++round) {
@@ -81,19 +81,17 @@ int main(int argc, char** argv) {
       hits = cache.stats().hits;
       misses = cache.stats().misses;
       evictions = cache.stats().evictions;
-      demotions = cache.stats().demotions;
       resident = cache.stats().bytes_resident;
     }
   });
 
   std::printf("served %d multiplies in batches of %d through one plan cache\n", served, batch);
-  std::printf("cache: %llu hits / %llu misses (hit rate %.2f), %llu evictions, %llu demotions\n",
+  std::printf("cache: %llu hits / %llu misses (hit rate %.2f), %llu evictions\n",
               static_cast<unsigned long long>(hits), static_cast<unsigned long long>(misses),
               hits + misses > 0
                   ? static_cast<double>(hits) / static_cast<double>(hits + misses)
                   : 0.0,
-              static_cast<unsigned long long>(evictions),
-              static_cast<unsigned long long>(demotions));
+              static_cast<unsigned long long>(evictions));
   std::printf("resident plan bytes under budget: %.2f KiB\n",
               static_cast<double>(resident) / 1024.0);
   std::printf("modeled network time: %.3f ms across %d ranks\n",

@@ -16,7 +16,7 @@
 #   BENCH_throughput.json      — fig15 serving throughput: multi-tenant plan
 #                                cache + batched small-multiply fusion vs
 #                                one-at-a-time, hot/cold hit rate, and the
-#                                budget-forced eviction/demotion sections
+#                                budget-forced eviction sections
 #   BENCH_memory.json          — fig16 memory-bounded execution: per-backend
 #                                peak-triples budget sweep (feasibility, panel
 #                                counts, measured peaks, slowdown, bit-identity)

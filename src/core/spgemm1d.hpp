@@ -43,6 +43,13 @@
 
 namespace sa1d {
 
+/// Bounded prefetch depth of the executor's value fetches: it keeps up to
+/// this many gets in flight (each holds one staging buffer) while the
+/// scatter of earlier blocks and the B̃ gather run, hiding RDMA time behind
+/// the compaction copies. The written Ã values are bit-identical at every
+/// depth.
+inline constexpr std::size_t kPrefetchInflight = 4;
+
 struct Spgemm1dOptions {
   /// Fetch planner. Unset (the default): per owner, the α–β-optimal plan at
   /// the link's CostParams rates (optimal_fetch_plan). Set: the paper's
@@ -56,12 +63,6 @@ struct Spgemm1dOptions {
   /// Ablation: when false, every nonzero column of A is fetched
   /// (sparsity-oblivious 1D), not just H ∩ D.
   bool sparsity_aware = true;
-  /// Bounded prefetch depth of the executor's value fetches: it keeps up to
-  /// this many gets in flight (values < 1 mean 1; each holds one staging
-  /// buffer) while the scatter of earlier blocks and the B̃ gather run,
-  /// hiding RDMA time behind the compaction copies. The written Ã values
-  /// are bit-identical at every depth.
-  int prefetch_inflight = 4;
 
   /// Every field influences the cached plan, so plan-reusing callers
   /// (spgemm_1d_cached) compare whole option sets to decide replans.
@@ -525,7 +526,7 @@ class SpgemmPlan1D {
   /// The executor (collective): replays k verified plans in one fetch wave
   /// — execute_verified is the same code with k = 1. Every member's A-value
   /// window is exposed up front and the members' planned value gets flatten
-  /// into one member-major pipeline of at most `prefetch_inflight` gets in
+  /// into one member-major pipeline of at most kPrefetchInflight gets in
   /// flight (one staging ring across the whole group, so member boundaries
   /// never drain it). The first window of gets is posted before the local
   /// copies and the B̃ gathers, which then run while those gets travel; ONE
@@ -576,14 +577,10 @@ class SpgemmPlan1D {
       std::size_t m, i;
     };
     std::vector<FlatFetch> flat;
-    std::size_t depth = 1;
-    for (std::size_t m = 0; m < k; ++m) {
-      const auto& p = *ops[m].plan;
-      for (std::size_t i = 0; i < p.fetches_.size(); ++i) flat.push_back({m, i});
-      depth = std::max(depth, static_cast<std::size_t>(std::max(p.opt_.prefetch_inflight, 1)));
-    }
+    for (std::size_t m = 0; m < k; ++m)
+      for (std::size_t i = 0; i < ops[m].plan->fetches_.size(); ++i) flat.push_back({m, i});
     const std::size_t nf = flat.size();
-    depth = std::min(depth, nf);
+    const std::size_t depth = std::min(kPrefetchInflight, nf);
     auto& bufs = ops[0].plan->prefetch_bufs_;
     if (bufs.size() < depth) bufs.resize(depth);
     std::vector<CommRequest> ring(depth);

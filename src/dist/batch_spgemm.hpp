@@ -21,7 +21,7 @@
 // state, so the collective sequence is identical machine-wide. Members are
 // grouped by DistSpgemmPlan::group_key() (backend + grid shape + layer
 // count); a plan may appear at most once per group (members of the same
-// tenant share scratch), and panelized or windowed ring plans replay solo.
+// tenant share scratch), and panelized or budgeted ring plans replay solo.
 // A recoverable fault (CorruptionDetected / PlanMismatch) during the batch
 // unwinds every rank identically; the batch-level retry drops the touched
 // entries, recovers collectively, and re-runs the whole batch as uniform

@@ -197,41 +197,24 @@ class DistSpgemmPlan {
     return bytes;
   }
 
-  /// The cached ring program (valid only when chosen() is Ring1D).
-  [[nodiscard]] const RingPlan<VT, SR>& ring_plan() const { return ring_; }
-
   /// Key of the replay groups this plan may join: plans with equal
   /// non-empty keys share a backend, grid shape and layer count, so
   /// replay_group can run them together. Empty when the plan replays
   /// alone: a panelized plan is a sequence of per-panel sub-plan replays,
-  /// and a windowed ring plan's fallback path does not fuse.
+  /// and a budgeted ring plan would hold every member's slice at once,
+  /// which the peak model does not price.
   [[nodiscard]] std::string group_key() const {
     if (!built_ || panels_ > 1) return {};
     switch (chosen_) {
       case Algo::Auto: break;
       case Algo::SparseAware1D: return "sa1d";
-      case Algo::Ring1D: return ring_.windowed() ? std::string() : "ring1d";
+      case Algo::Ring1D: return opt_.max_peak_triples > 0 ? std::string() : "ring1d";
       case Algo::Summa2D:
       case Algo::Split3D:
         return std::string(algo_name(chosen_)) + ":" + std::to_string(grid_.layers) + ":" +
                std::to_string(grid_.sched.grid_rows) + "x" + std::to_string(grid_.sched.grid_cols);
     }
     return {};
-  }
-
-  /// The plan cache's eviction fallback: a Ring1D plan sheds its resident
-  /// hop structures beyond a w-hop window (RingPlan::demote_to_window)
-  /// instead of being dropped outright. No-op for other backends; returns
-  /// true iff the plan is now windowed.
-  bool demote_ring_to_window(int w) {
-    if (!built_ || chosen_ != Algo::Ring1D) return false;
-    if (panels_ > 1) {
-      bool any = false;
-      for (auto& p : panel_plans_) any = p->demote_ring_to_window(w) || any;
-      return any;
-    }
-    ring_.demote_to_window(w);
-    return ring_.windowed();
   }
 
   /// Exact rank-local reuse check: O(1) fields first, then the structure
@@ -364,13 +347,8 @@ class DistSpgemmPlan {
     last_reorder_bytes_ =
         comm.report().coll_bytes_received() - before_reorder.coll_bytes_received();
 
-    // Budgeted builds bound the SUMMA stage window and capture the ring plan
-    // with a bounded hop window (first-class windowed execution: replays
-    // stream post-window hops, recomputing per-hop metadata).
+    // Budgeted builds bound the SUMMA stage window.
     const bool budgeted = opt.max_peak_triples > 0;
-    const int ring_window =
-        opt.ring_window > 0 ? opt.ring_window
-                            : (opt.max_peak_triples > 0 ? std::min(2, comm.size() - 1) : 0);
     auto run_fresh = [&](Algo which, int lyr) -> DistMatrix1D<VT> {
       chosen_ = which;
       layers_ = which == Algo::Split3D ? lyr : 1;
@@ -383,7 +361,7 @@ class DistSpgemmPlan {
                             : SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d);
           return sa1d_.execute_verified(comm, *ra, *rb);
         case Algo::Ring1D:
-          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_, ring_window);
+          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_);
         case Algo::Summa2D:
           return spgemm_summa_2d_dist<SR>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
                                           &grid_, opt.grid_rows, opt.grid_cols, budgeted);

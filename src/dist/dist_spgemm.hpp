@@ -81,8 +81,8 @@ struct DistSpgemmOptions {
   /// §13): the per-rank high-water RankReport::peak_triples gauge of one
   /// call must stay under this. 0 = unbounded (the pre-budget behavior).
   /// A positive budget switches every backend to its bounded variant
-  /// (streaming rounds-merges, a bounded SUMMA stage window, windowed ring
-  /// capture) and makes the dispatch resolve a column panelization whose
+  /// (streaming rounds-merges, a bounded SUMMA stage window, ring plans that
+  /// replay alone) and makes the dispatch resolve a column panelization whose
   /// modeled peak fits — or raise a rank-uniform ValidationError when none
   /// does. Part of the collective options digest: divergent budgets across
   /// ranks fail validation before any data collective.
@@ -93,12 +93,6 @@ struct DistSpgemmOptions {
   /// windows of B and concatenates in ascending panel order — bit-identical
   /// to the monolithic call for any semiring.
   int panels = 0;
-  /// Ring hop-window for budgeted plan capture: > 0 captures RingPlan
-  /// structure for only the first `ring_window` hops (the demotion twin of
-  /// PR 8, now a first-class execution mode — replays stream the remaining
-  /// hops recomputing per-hop metadata). 0 = full capture when unbudgeted,
-  /// a bounded default window when max_peak_triples > 0.
-  int ring_window = 0;
 
   friend bool operator==(const DistSpgemmOptions&, const DistSpgemmOptions&) = default;
 };
@@ -492,10 +486,8 @@ inline std::string options_digest(const DistSpgemmOptions& opt) {
          std::to_string(static_cast<int>(opt.sa1d.kernel)) + "," +
          std::to_string(opt.sa1d.threads) + "," +
          std::to_string(static_cast<int>(opt.sa1d.sparsity_aware)) + "," +
-         std::to_string(opt.sa1d.prefetch_inflight) + "," +
          std::to_string(static_cast<int>(opt.reorder)) + "," + std::to_string(opt.reorder_seed) +
-         "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels) + "," +
-         std::to_string(opt.ring_window);
+         "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels);
 }
 
 /// Rank-consistent input validation (collective): every rank publishes its

@@ -37,55 +37,19 @@ struct RingPlan {
     std::vector<index_t> gcol_ids;      ///< distinct global column ids, ascending
     std::vector<std::size_t> starts;    ///< column ranges within the slice, size |gcol_ids|+1
   };
-  /// Circulating element of a windowed replay's post-window hops: once the
-  /// resident structures run out, the column id travels with the value (row
-  /// ids are never needed on replay — every push folds through acc_dst).
-  struct ColVal {
-    index_t col;
-    VT val;
-  };
   std::vector<Hop> hops;                ///< hop s = the slice this rank multiplies at step s
-  /// Windowed-hop residency (the plan cache's eviction fallback, ROADMAP
-  /// item 3): 0 = every hop structure resident (full replay). w ∈ [1, P):
-  /// only hops[0..w) keep their gcol_ids/starts; later hops re-derive the
-  /// grouping on the fly from circulated (col, val) pairs — ~1/3 more shift
-  /// bytes past the window, but the resident footprint drops from ≈nnz(A)
-  /// indices to the windowed prefix. Replay stays bit-identical.
-  int window = 0;
   std::vector<index_t> acc_dst;         ///< flat push idx -> merged local slot
   std::vector<std::uint8_t> acc_first;  ///< 1 = assign, 0 = ⊕-accumulate
   std::size_t acc_nnz = 0;
   DcscMatrix<VT> c_shell;               ///< merged local C structure (values are scratch)
   std::vector<VT> acc_vals;             ///< replay scratch
 
-  [[nodiscard]] bool windowed() const {
-    return window > 0 && static_cast<std::size_t>(window) < hops.size();
-  }
-
-  /// Frees the hop structures at positions ≥ w (keeping the element counts,
-  /// which the replay guards need), turning this into a windowed plan. Hop 0
-  /// (this rank's own slice) is always retained, so w clamps to [1, P].
-  /// Idempotent; a second call can only shrink the window further.
-  void demote_to_window(int w) {
-    if (w < 1) w = 1;
-    if (static_cast<std::size_t>(w) >= hops.size()) return;  // nothing to drop
-    if (window != 0 && w >= window) return;                  // already at least this small
-    window = w;
-    for (std::size_t s = static_cast<std::size_t>(w); s < hops.size(); ++s) {
-      std::vector<index_t>().swap(hops[s].gcol_ids);
-      std::vector<std::size_t>().swap(hops[s].starts);
-    }
-  }
-
   /// Exact per-rank collective bytes one value-only replay receives: each
-  /// of the (P-1) hop shifts delivers the next slice's value array — bare
-  /// values inside the resident window, (col, val) pairs past it.
+  /// of the (P-1) hop shifts delivers the next slice's value array.
   [[nodiscard]] std::uint64_t replay_recv_bytes() const {
     std::uint64_t b = 0;
-    for (std::size_t s = 1; s < hops.size(); ++s) {
-      const bool paired = windowed() && static_cast<int>(s) >= window;
-      b += static_cast<std::uint64_t>(hops[s].nnz) * (paired ? sizeof(ColVal) : sizeof(VT));
-    }
+    for (std::size_t s = 1; s < hops.size(); ++s)
+      b += static_cast<std::uint64_t>(hops[s].nnz) * sizeof(VT);
     return b;
   }
 
@@ -109,15 +73,11 @@ struct RingPlan {
 /// bit-exactly). Each hop shift is posted before the local multiply, which
 /// reads the request's stable view of the slice, so the slice travels while
 /// this rank multiplies. `plan` (optional) captures the value-only replay
-/// program; `window` > 0 captures it *windowed from birth* — only the first `window`
-/// hops keep their column structures (the bounded-hop-window execution mode
-/// a peak-triples budget selects; PR 8's demotion produced the same shape
-/// after the fact) — replays dispatch to ring_replay_windowed automatically.
+/// program.
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_naive_ring_1d(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-    std::type_identity_t<RingPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
-    int window = 0) {
+    std::type_identity_t<RingPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr) {
   using SR = ResolveSemiring<SRIn, VT>;
   require(a.ncols() == b.nrows(), "spgemm_naive_ring_1d: inner dimension mismatch");
   const int P = comm.size();
@@ -189,16 +149,12 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
     if (plan != nullptr) {
       // Structural capture — work a replay skips, accounted like the
       // SUMMA/3D captures so the plan-vs-execute breakdown is comparable
-      // across backends. A window > 0 keeps only the first `window` hop
-      // structures (hop.nnz is always recorded — the replay guards need it),
-      // capturing the plan already demoted.
+      // across backends.
       auto ph = comm.phase(Phase::Plan);
       auto& hop = plan->hops[static_cast<std::size_t>(step)];
       hop.nnz = static_cast<index_t>(cs.size());
-      if (window <= 0 || step < window) {
-        hop.gcol_ids = std::move(gcol_ids);
-        hop.starts = std::move(starts);
-      }
+      hop.gcol_ids = std::move(gcol_ids);
+      hop.starts = std::move(starts);
     }
     {
       // Streaming per-hop merge: collapse the accumulator after every hop
@@ -238,147 +194,12 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
     if (plan != nullptr) {
       plan->acc_nnz = acc.triples().size();
       plan->c_shell = c_local;
-      if (window > 0) plan->demote_to_window(window);
     }
   }
   // The merged accumulator dies with this frame; c_local is the output.
   rep.mem_release(acc.triples().size(), acc.triples().size() * tb);
   return DistMatrix1D<VT>(a.nrows(), b.ncols(), b.bounds(), me, std::move(c_local));
 }
-
-namespace ringdetail {
-
-/// Windowed replay body (RingPlan::windowed()): hops inside the resident
-/// window shift bare value arrays against cached structures exactly like the
-/// full replay. At the window boundary the sender expands its (still cached)
-/// column grouping into circulating (col, val) pairs, and every later hop
-/// re-derives the grouping by the same consecutive-equal-columns scan the
-/// fresh call ran over its triples — identical push order through the same
-/// acc_dst/acc_first fold program, so the result stays bit-identical. This is
-/// the memory-demoted fallback the plan cache uses instead of eviction; it
-/// exists to shed resident bytes, not to hide latency, so its hop shifts are
-/// blocking collectives.
-template <typename SR, typename VT>
-DistMatrix1D<VT> ring_replay_windowed(Comm& comm, RingPlan<VT, SR>& plan,
-                                      const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b) {
-  using CV = typename RingPlan<VT, SR>::ColVal;
-  const int P = comm.size();
-  const int me = comm.rank();
-  const int w = plan.window;
-  auto& rep = comm.report();
-  std::vector<VT> circ_vals;
-  std::vector<CV> circ_pairs;
-  {
-    auto ph = comm.phase(Phase::Other);
-    circ_vals = a.local().vals();
-    plan.acc_vals.assign(plan.acc_nnz, VT{});
-  }
-  rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
-
-  const auto& bl = b.local();
-  const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
-  std::size_t flat = 0;
-  std::vector<index_t> derived_cols;
-  std::vector<std::size_t> derived_starts;
-  for (int step = 0; step < P; ++step) {
-    const bool paired = step >= w;  // this hop's structure was demoted away
-    const auto& hop = plan.hops[static_cast<std::size_t>(step)];
-    {
-      auto ph = comm.phase(Phase::Comp);
-      const std::size_t have = paired ? circ_pairs.size() : circ_vals.size();
-      if (have != static_cast<std::size_t>(hop.nnz))
-        comm.fail(FaultClass::PlanMismatch, "ring_replay",
-                  "ring_replay_windowed: hop " + std::to_string(step) + " carries " +
-                      std::to_string(have) + " values where the cached slice structure holds " +
-                      std::to_string(hop.nnz) + " (rank " +
-                      std::to_string(comm.global_rank(comm.rank())) + ")");
-      const std::vector<index_t>* gcols = &hop.gcol_ids;
-      const std::vector<std::size_t>* starts = &hop.starts;
-      if (paired) {
-        // Re-derive the column grouping from the circulated pairs — the same
-        // scan the fresh call ran (pairs preserve the column-major order).
-        derived_cols.clear();
-        derived_starts.clear();
-        for (std::size_t p = 0; p < circ_pairs.size(); ++p) {
-          if (p == 0 || circ_pairs[p].col != circ_pairs[p - 1].col) {
-            derived_cols.push_back(circ_pairs[p].col);
-            derived_starts.push_back(p);
-          }
-        }
-        derived_starts.push_back(circ_pairs.size());
-        gcols = &derived_cols;
-        starts = &derived_starts;
-      }
-      for (index_t j = 0; j < bl.nzc(); ++j) {
-        auto brows = bl.col_rows_at(j);
-        auto bvals = bl.col_vals_at(j);
-        for (std::size_t p = 0; p < brows.size(); ++p) {
-          auto it = std::lower_bound(gcols->begin(), gcols->end(), brows[p]);
-          if (it == gcols->end() || *it != brows[p]) continue;
-          auto kpos = static_cast<std::size_t>(it - gcols->begin());
-          for (std::size_t q = (*starts)[kpos]; q < (*starts)[kpos + 1]; ++q) {
-            const VT v = SR::multiply(paired ? circ_pairs[q].val : circ_vals[q], bvals[p]);
-            const auto slot = static_cast<std::size_t>(plan.acc_dst[flat]);
-            plan.acc_vals[slot] =
-                plan.acc_first[flat] != 0 ? v : SR::add(plan.acc_vals[slot], v);
-            ++flat;
-          }
-        }
-      }
-    }
-    const std::uint64_t out_elems = paired ? circ_pairs.size() : circ_vals.size();
-    const std::uint64_t out_bytes = out_elems * (paired ? sizeof(CV) : sizeof(VT));
-    if (step + 1 < P) {
-      if (step + 1 < w) {
-        // Still inside the window: bare value shift, like the full replay.
-        std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          send[static_cast<std::size_t>(succ)] = std::move(circ_vals);
-        }
-        auto recv = comm.alltoallv(send);
-        circ_vals = std::move(recv[static_cast<std::size_t>(pred)]);
-        rep.mem_charge(circ_vals.size(), circ_vals.size() * sizeof(VT));
-        rep.mem_release(out_elems, out_bytes);
-      } else {
-        // Crossing or past the boundary: the receiver holds no structure for
-        // the next hop, so the column ids travel with the values.
-        std::vector<CV> out;
-        {
-          auto ph = comm.phase(Phase::Other);
-          if (!paired) {
-            // Boundary hop: expand this step's cached grouping per element.
-            out.reserve(circ_vals.size());
-            for (std::size_t kpos = 0; kpos + 1 < hop.starts.size(); ++kpos)
-              for (std::size_t q = hop.starts[kpos]; q < hop.starts[kpos + 1]; ++q)
-                out.push_back({hop.gcol_ids[kpos], circ_vals[q]});
-            circ_vals.clear();
-          } else {
-            out = std::move(circ_pairs);
-          }
-        }
-        std::vector<std::vector<CV>> send(static_cast<std::size_t>(P));
-        {
-          auto ph = comm.phase(Phase::Other);
-          send[static_cast<std::size_t>(succ)] = std::move(out);
-        }
-        auto recv = comm.alltoallv(send);
-        circ_pairs = std::move(recv[static_cast<std::size_t>(pred)]);
-        rep.mem_charge(circ_pairs.size(), circ_pairs.size() * sizeof(CV));
-        rep.mem_release(out_elems, out_bytes);
-      }
-    } else {
-      rep.mem_release(out_elems, out_bytes);  // last hop: the slice dies here
-    }
-  }
-
-  auto ph = comm.phase(Phase::Other);
-  DcscMatrix<VT> c_local = plan.c_shell;
-  c_local.mutable_vals() = plan.acc_vals;
-  return DistMatrix1D<VT>(a.nrows(), b.ncols(), b.bounds(), me, std::move(c_local));
-}
-
-}  // namespace ringdetail
 
 /// One member of a ring replay: a captured plan and the operand pair it
 /// replays.
@@ -399,19 +220,12 @@ struct RingReplay {
 /// counter, so every result is bit-identical to the fresh call; zero
 /// Phase::Plan time, no structural metadata moved. The hop shift is posted
 /// before the multiplies, which read the request's stable view of the
-/// outgoing chunk. A windowed plan (RingPlan::windowed()) replays alone
-/// through ring_replay_windowed. Collective.
+/// outgoing chunk. Collective.
 template <typename SR, typename VT>
 std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
     Comm& comm, std::span<const RingReplay<VT, SR>> ms) {
   std::vector<DistMatrix1D<VT>> out;
   if (ms.empty()) return out;
-  if (ms.front().plan->windowed()) {
-    require(ms.size() == 1, "spgemm_naive_ring_1d_replay: a windowed ring plan replays alone");
-    out.push_back(ringdetail::ring_replay_windowed<SR, VT>(comm, *ms[0].plan, *ms[0].a,
-                                                           *ms[0].b));
-    return out;
-  }
   const int P = comm.size();
   const int me = comm.rank();
   const std::size_t k = ms.size();

@@ -19,10 +19,7 @@
 //     same control plane — zero modeled network time, zero counter noise.
 //
 // Eviction walks from the LRU tail and is itself deterministic given agreed
-// bytes. A Ring1D victim is first *demoted* to a windowed-hop plan
-// (RingPlan::demote_to_window — the eviction fallback of ROADMAP item 3):
-// it sheds most of its ≈nnz(A) resident indices but stays replayable, and is
-// only dropped outright if the cache is still over budget afterwards.
+// bytes; every backend's victim is dropped the same way.
 #pragma once
 
 #include <algorithm>
@@ -44,7 +41,6 @@ struct PlanCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
-  std::uint64_t demotions = 0;  ///< evictions softened to a windowed demote
   std::uint64_t bytes_resident = 0;
   std::size_t entries = 0;
 };
@@ -105,16 +101,14 @@ class PlanCache {
     bool pinned = false;      ///< live batch member: immune to eviction
   };
 
-  /// `budget_bytes` = 0 disables eviction; `demote_window` is the hop window
-  /// Ring1D victims are demoted to before being dropped (0 = evict directly).
-  /// Both must be identical on every rank (the vote digest carries the
-  /// budget, so a divergence surfaces as a ValidationError, not a hang).
-  explicit PlanCache(std::uint64_t budget_bytes = 0, int demote_window = 2)
-      : budget_(budget_bytes), demote_window_(demote_window) {}
+  /// `budget_bytes` = 0 disables eviction. It must be identical on every
+  /// rank (the vote digest carries the budget, so a divergence surfaces as
+  /// a ValidationError, not a hang).
+  explicit PlanCache(std::uint64_t budget_bytes = 0) : budget_(budget_bytes) {}
 
   [[nodiscard]] std::uint64_t budget() const { return budget_; }
   /// Retargets the budget (0 disables eviction). Must be called with the
-  /// same value on every rank — like the constructor arguments, it is part
+  /// same value on every rank — like the constructor argument, it is part
   /// of the vote digest, so a divergence surfaces as a ValidationError at
   /// the next request. Enforced lazily at the next admission/batch end.
   void set_budget(std::uint64_t budget_bytes) { budget_ = budget_bytes; }
@@ -125,7 +119,7 @@ class PlanCache {
     return b;
   }
   [[nodiscard]] PlanCacheStats stats() const {
-    return {hits_, misses_, evictions_, demotions_, bytes_resident(), entries_.size()};
+    return {hits_, misses_, evictions_, bytes_resident(), entries_.size()};
   }
   /// MRU-first entry list (front = most recently used); inspection hook.
   [[nodiscard]] const std::list<Entry>& entries() const { return entries_; }
@@ -230,10 +224,7 @@ class PlanCache {
   /// Evicts from the LRU tail until the agreed residency fits the budget.
   /// Deterministic across ranks (the loop reads only agreed state), so every
   /// rank evicts the same victims in the same order. `keep` (the entry just
-  /// admitted) and pinned entries are never victims. A fresh Ring1D victim
-  /// is demoted to its hop window first — shedding bytes while staying
-  /// replayable — and only dropped if the cache is still over budget.
-  /// Collective whenever a demotion re-agrees the victim's bytes.
+  /// admitted) and pinned entries are never victims.
   void enforce_budget(Comm& comm, const Entry* keep = nullptr) {
     if (budget_ == 0) return;
     while (bytes_resident() > budget_) {
@@ -245,14 +236,6 @@ class PlanCache {
         }
       }
       if (vic == nullptr) return;  // everything pinned/kept: over budget until released
-      if (demote_window_ > 0 && vic->plan != nullptr && !vic->plan->empty() &&
-          vic->plan->chosen() == Algo::Ring1D && !vic->plan->ring_plan().windowed() &&
-          vic->plan->demote_ring_to_window(demote_window_)) {
-        vic->bytes = cachedetail::agree_max_bytes(comm, vic->plan->bytes_resident());
-        ++demotions_;
-        ++comm.report().cache_demotions;
-        continue;  // still the tail: evicted next iteration if still over
-      }
       ++evictions_;
       ++comm.report().cache_evictions;
       if (vic->plan != nullptr && !vic->plan->empty())
@@ -263,14 +246,12 @@ class PlanCache {
 
  private:
   std::uint64_t budget_ = 0;
-  int demote_window_ = 2;
   std::list<Entry> entries_;  ///< front = MRU, evict from the back
   std::uint64_t next_seq_ = 0;
   std::uint64_t last_published_ = 0;  ///< gauge bytes charged at the last publish
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t demotions_ = 0;
 };
 
 /// Multi-tenant serving entry point: one collective coherence vote, then a

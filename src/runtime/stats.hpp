@@ -112,7 +112,6 @@ struct RankReport {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_demotions = 0;  ///< evictions softened to a windowed demote
   std::uint64_t cache_bytes_resident = 0;
   // Per-backend split, indexed like plan_builds (slot 0 = Auto unused).
   std::array<std::uint64_t, 5> cache_hits_by_algo{};

@@ -1,8 +1,8 @@
 // Memory-bounded execution regression suite (DESIGN.md §13): budgeted
-// execution — streaming merges, windowed ring hops, a bounded SUMMA stage
-// window, and column-panel replay — must be a *footprint-only* transform relative to
-// the monolithic call: bit-identical results for every backend × semiring ×
-// fresh/replay × panel count; the measured peak-triples gauge must respect
+// execution — streaming merges, a bounded SUMMA stage window, solo ring
+// replays and column-panel replay — must be a *footprint-only* transform
+// relative to the monolithic call: bit-identical results for every backend ×
+// semiring × fresh/replay × panel count; the measured peak-triples gauge must respect
 // max_peak_triples whenever the planner deems a budget feasible; divergent
 // budgets must raise the identical ValidationError on every rank; the gauge
 // must reset per outermost call (high-water of THIS call, not the process);
@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dist/batch_spgemm.hpp"
@@ -249,6 +250,97 @@ TEST(MemoryBudget, FusedGridReplayChargesStagingWithinBudget) {
     EXPECT_TRUE(hot_st[i].plan_reused);
     EXPECT_GT(hot_st[i].peak_triples, 0u);
     EXPECT_LE(hot_st[i].peak_triples, opt.max_peak_triples);
+  }
+}
+
+// ---- a budgeted ring plan replays values only, in a group of its own -------
+
+struct RingBudgetRun {
+  std::vector<std::uint64_t> replay_bytes, replay_meta;  ///< tenant 0's cached replay
+  std::vector<std::uint64_t> batch_msgs;                 ///< both tenants' hot batch
+  std::vector<int> identical;
+  RunReport rep;
+};
+
+/// Per tenant: a fresh call and a cached replay through its own plan; then
+/// both tenants through one plan cache, warmed and replayed as one hot batch.
+RingBudgetRun run_ring_budget(int P, const std::vector<CscMatrix<double>>& tenants,
+                              const std::vector<CscMatrix<double>>& want,
+                              const DistSpgemmOptions& opt) {
+  const auto up = static_cast<std::size_t>(P);
+  RingBudgetRun out{std::vector<std::uint64_t>(up), std::vector<std::uint64_t>(up),
+                    std::vector<std::uint64_t>(up), std::vector<int>(up), {}};
+  Machine m(P);
+  out.rep = m.run([&](Comm& c) {
+    const auto me = static_cast<std::size_t>(c.rank());
+    std::vector<DistMatrix1D<double>> ops;
+    for (const auto& t : tenants) ops.push_back(DistMatrix1D<double>::from_global(c, t));
+    bool same = true;
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      DistSpgemmPlan<double> plan;
+      auto c1 = spgemm_dist_cached(c, plan, ops[i], ops[i], opt);
+      DistSpgemmStats st;
+      auto c2 = spgemm_dist_cached(c, plan, ops[i], ops[i], opt, &st);
+      same = st.plan_reused && same;
+      if (i == 0) {
+        out.replay_bytes[me] = st.coll_recv_bytes;
+        out.replay_meta[me] = st.meta_coll_bytes;
+      }
+      same = bit_equal(c1.gather(c), want[i]) && bit_equal(c2.gather(c), want[i]) && same;
+    }
+    PlanCache<double> cache;
+    std::vector<std::pair<const DistMatrix1D<double>*, const DistMatrix1D<double>*>> items;
+    for (const auto& op : ops) items.push_back({&op, &op});
+    (void)spgemm_dist_batched(c, cache, items, opt);  // builds both plans
+    const auto msgs = c.report().coll_msgs_received();
+    auto got = spgemm_dist_batched(c, cache, items, opt);
+    out.batch_msgs[me] = c.report().coll_msgs_received() - msgs;
+    for (std::size_t i = 0; i < got.size(); ++i)
+      same = bit_equal(got[i].gather(c), want[i]) && same;
+    out.identical[me] = same ? 1 : 0;
+  });
+  return out;
+}
+
+TEST(MemoryBudget, BudgetedRingReplayCirculatesValuesLikeUnbudgeted) {
+  // A budget leaves a ring plan's cached replay unchanged: every hop shifts
+  // the bare value array, so each rank receives exactly the unbudgeted
+  // replay's collective bytes and no structural metadata. In a batch, a
+  // budgeted ring plan still replays in a group of its own, since a fused
+  // ring group would hold every member's slice at once and the peak model
+  // does not price that.
+  std::vector<CscMatrix<double>> tenants{
+      with_integer_values(erdos_renyi<double>(150, 5.0, 107), 108),
+      with_integer_values(block_clustered<double>(150, 5, 4.0, 0.4, 109), 110)};
+  std::vector<CscMatrix<double>> want;
+  for (const auto& t : tenants)
+    want.push_back(spgemm_local<PlusTimes<double>, double>(t, t, LocalKernel::Spa));
+  const int P = 4;
+  DistSpgemmOptions base;
+  base.algo = Algo::Ring1D;
+  base.panels = 1;
+  std::uint64_t peak0 = 0;
+  for (const auto& t : tenants) {
+    auto b0 = run_mode<void>(P, t, base);
+    for (const auto& r : b0.rep.ranks) peak0 = std::max(peak0, r.hwm_triples);
+  }
+  ASSERT_GT(peak0, 0u);
+  DistSpgemmOptions opt = base;
+  opt.max_peak_triples = 4 * peak0;
+
+  const auto free_run = run_ring_budget(P, tenants, want, base);
+  const auto budgeted = run_ring_budget(P, tenants, want, opt);
+  for (std::size_t r = 0; r < free_run.identical.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    EXPECT_EQ(free_run.identical[r], 1);
+    EXPECT_EQ(budgeted.identical[r], 1);
+    EXPECT_GT(budgeted.replay_bytes[r], 0u);
+    EXPECT_EQ(budgeted.replay_bytes[r], free_run.replay_bytes[r]);
+    EXPECT_EQ(budgeted.replay_meta[r], 0u);
+    EXPECT_LE(budgeted.rep.ranks[r].hwm_triples, opt.max_peak_triples);
+    // The two unbudgeted members share one ring pass (one message per hop);
+    // the budgeted ones run a pass each, P-1 hop messages more.
+    EXPECT_EQ(budgeted.batch_msgs[r], free_run.batch_msgs[r] + (P - 1));
   }
 }
 

@@ -206,24 +206,28 @@ TEST(Overlap, StagePipelinedBackendsHideCommBehindCompute) {
 }
 
 TEST(Overlap, Sa1dPrefetchRespectsInflightBudgetAndStaysBitIdentical) {
-  // Sweep the prefetch depth (1 = fully serialized ring, large = everything
-  // in flight): the result must be bit-identical at every depth, and a
-  // depth change must alter the plan digest (option-coherent validation).
+  // Algorithm 2 with K = 8 plans several gets per remote owner, so every
+  // rank issues more gets than the kPrefetchInflight staging ring holds and
+  // the ring wraps: the result must still be bit-identical.
   auto a = with_integer_values(erdos_renyi<double>(130, 4.0, 75), 64);
   auto want = spgemm_local<PlusTimes<double>, double>(a, a, LocalKernel::Spa);
-  for (int depth : {1, 2, 8, 64}) {
-    SCOPED_TRACE("prefetch_inflight=" + std::to_string(depth));
-    Machine m(4);
-    std::vector<int> match(4, 0);
-    m.run([&](Comm& c) {
-      auto da = DistMatrix1D<double>::from_global(c, a);
-      DistSpgemmOptions opt;
-      opt.algo = Algo::SparseAware1D;
-      opt.sa1d.prefetch_inflight = depth;
-      auto got = spgemm_dist(c, da, da, opt);
-      match[static_cast<std::size_t>(c.rank())] = bit_equal(got.gather(c), want) ? 1 : 0;
-    });
-    for (int r = 0; r < 4; ++r) EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << r;
+  Machine m(4);
+  std::vector<int> match(4, 0);
+  std::vector<index_t> gets(4, 0);
+  m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    Spgemm1dOptions opt;
+    opt.block_fetch_k = 8;
+    SpgemmPlan1D<double, PlusTimes<double>> plan(c, da, da, opt);
+    Spgemm1dInfo info;
+    auto got = plan.execute_verified(c, da, da, &info);
+    gets[static_cast<std::size_t>(c.rank())] = info.rdma_calls;
+    match[static_cast<std::size_t>(c.rank())] = bit_equal(got.gather(c), want) ? 1 : 0;
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << r;
+    EXPECT_GT(static_cast<std::size_t>(gets[static_cast<std::size_t>(r)]), kPrefetchInflight)
+        << r;
   }
 }
 

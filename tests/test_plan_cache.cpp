@@ -6,8 +6,8 @@
 // (cold: misses + within-batch deferred hits; hot: fused replay groups),
 // under Random and Partitioned orderings too, with a batch of one equal to
 // the sequential replay in results and counters and fused ring groups
-// charging the memory gauge — plus the LRU/budget mechanics (eviction order, forced rebuilds, the
-// windowed-ring demotion fallback staying replayable), the structure-hash
+// charging the memory gauge — plus the LRU/budget mechanics (eviction order
+// and forced rebuilds, for grid and ring plans alike), the structure-hash
 // negative (equal quick fingerprints must not alias), the coherence guard
 // (a rank-divergent cache decision surfaces as the identical typed
 // ValidationError on every rank, never a hang), chaos (RankAbort mid-batch
@@ -375,63 +375,70 @@ TEST(PlanCacheLru, EvictionOrderAndForcedRebuild) {
   tenants.push_back(block_clustered<double>(110, 5, 4.0, 0.4, 47));
   tenants.push_back(erdos_renyi<double>(110, 3.0, 53));
   tenants.push_back(block_clustered<double>(110, 11, 5.0, 0.3, 59));
-  DistSpgemmOptions opt;
-  opt.algo = Algo::Summa2D;
+  // A ring victim is evicted exactly like a grid victim: dropped, and a
+  // re-request is a miss that rebuilds bit-identically.
+  for (Algo algo : {Algo::Summa2D, Algo::Ring1D}) {
+    SCOPED_TRACE(algo_name(algo));
+    DistSpgemmOptions opt;
+    opt.algo = algo;
 
-  // Pass 1 (unbounded): capture each tenant plan's agreed residency.
-  std::vector<std::uint64_t> bytes(3, 0);
-  {
+    // Pass 1 (unbounded): capture each tenant plan's agreed residency.
+    std::vector<std::uint64_t> bytes(3, 0);
+    {
+      Machine m(4);
+      m.run([&](Comm& c) {
+        PlanCache<double> cache;
+        for (int i = 0; i < 3; ++i) {
+          auto da = DistMatrix1D<double>::from_global(
+              c, with_values(tenants[static_cast<std::size_t>(i)], i));
+          spgemm_dist_cached_mt(c, cache, da, da, opt);
+          if (c.rank() == 0) bytes[static_cast<std::size_t>(i)] = cache.entries().front().bytes;
+        }
+      });
+    }
+    for (auto b : bytes) ASSERT_GT(b, 0u);
+
+    // Pass 2: budget one byte short of all three — the LRU victim (tenant 0)
+    // must be evicted when tenant 2 is admitted, deterministically on every
+    // rank; re-requesting tenant 0 is then a miss that rebuilds correctly and
+    // evicts the new tail (tenant 1).
+    const std::uint64_t budget = bytes[0] + bytes[1] + bytes[2] - 1;
     Machine m(4);
     m.run([&](Comm& c) {
-      PlanCache<double> cache;
-      for (int i = 0; i < 3; ++i) {
-        auto da = DistMatrix1D<double>::from_global(
-            c, with_values(tenants[static_cast<std::size_t>(i)], i));
-        spgemm_dist_cached_mt(c, cache, da, da, opt);
-        if (c.rank() == 0) bytes[static_cast<std::size_t>(i)] = cache.entries().front().bytes;
-      }
+      PlanCache<double> cache(budget);
+      std::vector<DistMatrix1D<double>> ops;
+      for (int i = 0; i < 3; ++i)
+        ops.push_back(DistMatrix1D<double>::from_global(
+            c, with_values(tenants[static_cast<std::size_t>(i)], i)));
+      spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
+      spgemm_dist_cached_mt(c, cache, ops[1], ops[1], opt);
+      EXPECT_EQ(cache.size(), 2u);
+      EXPECT_EQ(cache.stats().evictions, 0u);
+
+      DistSpgemmStats st;
+      spgemm_dist_cached_mt(c, cache, ops[2], ops[2], opt, &st);
+      EXPECT_EQ(cache.stats().evictions, 1u);
+      EXPECT_EQ(st.cache_evictions, 1u);
+      EXPECT_EQ(cache.size(), 2u);
+      EXPECT_FALSE(cache.contains(ops[0], ops[0], opt)) << "LRU victim must be tenant 0";
+      EXPECT_TRUE(cache.contains(ops[1], ops[1], opt));
+      EXPECT_TRUE(cache.contains(ops[2], ops[2], opt));
+      EXPECT_LE(cache.stats().bytes_resident, budget);
+      EXPECT_EQ(c.report().cache_evictions, 1u);
+      EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 1u);
+
+      // Forced rebuild: tenant 0 again is a miss, result still correct.
+      DistSpgemmStats st0;
+      auto got = spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt, &st0);
+      auto fresh = spgemm_dist(c, ops[0], ops[0], opt);
+      EXPECT_TRUE(got.local() == fresh.local());
+      EXPECT_EQ(st0.cache_misses, 1u);
+      EXPECT_FALSE(st0.plan_reused);
+      EXPECT_EQ(cache.stats().evictions, 2u);
+      EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 2u);
+      EXPECT_FALSE(cache.contains(ops[1], ops[1], opt)) << "new tail must be tenant 1";
     });
   }
-  for (auto b : bytes) ASSERT_GT(b, 0u);
-
-  // Pass 2: budget one byte short of all three — the LRU victim (tenant 0)
-  // must be evicted when tenant 2 is admitted, deterministically on every
-  // rank; re-requesting tenant 0 is then a miss that rebuilds correctly and
-  // evicts the new tail (tenant 1).
-  const std::uint64_t budget = bytes[0] + bytes[1] + bytes[2] - 1;
-  Machine m(4);
-  m.run([&](Comm& c) {
-    PlanCache<double> cache(budget, /*demote_window=*/0);
-    std::vector<DistMatrix1D<double>> ops;
-    for (int i = 0; i < 3; ++i)
-      ops.push_back(DistMatrix1D<double>::from_global(
-          c, with_values(tenants[static_cast<std::size_t>(i)], i)));
-    spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
-    spgemm_dist_cached_mt(c, cache, ops[1], ops[1], opt);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-
-    DistSpgemmStats st;
-    spgemm_dist_cached_mt(c, cache, ops[2], ops[2], opt, &st);
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(st.cache_evictions, 1u);
-    EXPECT_EQ(cache.size(), 2u);
-    EXPECT_FALSE(cache.contains(ops[0], ops[0], opt)) << "LRU victim must be tenant 0";
-    EXPECT_TRUE(cache.contains(ops[1], ops[1], opt));
-    EXPECT_TRUE(cache.contains(ops[2], ops[2], opt));
-    EXPECT_LE(cache.stats().bytes_resident, budget);
-    EXPECT_EQ(c.report().cache_evictions, 1u);
-    EXPECT_GT(c.report().cache_evictions_by_algo[distdetail::algo_slot(Algo::Summa2D)], 0u);
-
-    // Forced rebuild: tenant 0 again is a miss, result still correct.
-    DistSpgemmStats st0;
-    auto got = spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt, &st0);
-    auto fresh = spgemm_dist(c, ops[0], ops[0], opt);
-    EXPECT_TRUE(got.local() == fresh.local());
-    EXPECT_EQ(st0.cache_misses, 1u);
-    EXPECT_EQ(cache.stats().evictions, 2u);
-    EXPECT_FALSE(cache.contains(ops[1], ops[1], opt)) << "new tail must be tenant 1";
-  });
 }
 
 TEST(PlanCacheLru, TouchOrderIsMruFirst) {
@@ -449,55 +456,6 @@ TEST(PlanCacheLru, TouchOrderIsMruFirst) {
     EXPECT_FALSE(cachedetail::fp_equal(cache.entries().front().fp, fp0));
     spgemm_dist_cached_mt(c, cache, d0, d0);  // hit re-orders
     EXPECT_TRUE(cachedetail::fp_equal(cache.entries().front().fp, fp0));
-  });
-}
-
-// ---- windowed-hop demotion: shed bytes, stay replayable -------------------
-
-TEST(PlanCacheLru, RingDemotionFallbackStaysBitIdentical) {
-  auto pat = block_clustered<double>(120, 6, 4.0, 0.4, 71);
-  DistSpgemmOptions opt;
-  opt.algo = Algo::Ring1D;
-
-  std::uint64_t full_bytes = 0;
-  {
-    Machine m(4);
-    m.run([&](Comm& c) {
-      PlanCache<double> cache;
-      auto da = DistMatrix1D<double>::from_global(c, with_values(pat, 0));
-      spgemm_dist_cached_mt(c, cache, da, da, opt);
-      if (c.rank() == 0) full_bytes = cache.entries().front().bytes;
-    });
-  }
-  ASSERT_GT(full_bytes, 0u);
-
-  Machine m(4);
-  m.run([&](Comm& c) {
-    // Budget one byte short of the full ring program: the end-of-batch
-    // eviction pass must *demote* the plan to its hop window instead of
-    // dropping it — bytes shrink, the entry stays, and later requests hit
-    // it through the windowed replay path, still bit-identical.
-    PlanCache<double> cache(full_bytes - 1, /*demote_window=*/2);
-    auto d0 = DistMatrix1D<double>::from_global(c, with_values(pat, 0));
-    Items items{{&d0, &d0}};
-    auto got0 = spgemm_dist_batched(c, cache, items, opt);
-    auto fresh0 = spgemm_dist(c, d0, d0, opt);
-    EXPECT_TRUE(got0[0].local() == fresh0.local());
-    EXPECT_EQ(cache.stats().demotions, 1u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_LT(cache.stats().bytes_resident, full_bytes);
-    EXPECT_EQ(c.report().cache_demotions, 1u);
-
-    for (int t = 1; t < 3; ++t) {
-      auto da = DistMatrix1D<double>::from_global(c, with_values(pat, t));
-      DistSpgemmStats st;
-      auto got = spgemm_dist_cached_mt(c, cache, da, da, opt, &st);
-      auto fresh = spgemm_dist(c, da, da, opt);
-      EXPECT_TRUE(got.local() == fresh.local()) << "windowed replay iter " << t;
-      EXPECT_EQ(st.cache_hits, 1u) << "demoted plan must still be a hit";
-    }
-    EXPECT_EQ(cache.stats().demotions, 1u) << "demotion happens once, not per request";
   });
 }
 
