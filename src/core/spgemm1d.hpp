@@ -411,11 +411,19 @@ class SpgemmPlan1D {
       btilde_m_ = CscMatrix<VT>(plan_info_.atilde_ncols, b.local_ncols(), std::move(bt_colptr),
                                 std::move(bt_rows), std::vector<VT>(bt_nnz));
 
-      // (8), symbolic half: exact C colptr, per-column accumulator class,
-      // and the flop-balanced thread partition — structural, so the
-      // value-free shells are all it needs.
-      sym_ = spgemm_local_symbolic<SR, VT>(atilde_m_, btilde_m_, opt.kernel,
-                                                      opt.threads, &ws_);
+      // (8), symbolic half: C's exact structure (colptr and row ids), the
+      // per-column accumulator class and the flop-balanced thread
+      // partition — structural, so the value-free shells are all it needs.
+      sym_ = spgemm_local_symbolic<SR, VT>(atilde_m_, btilde_m_, opt.kernel, opt.threads, &ws_);
+      // C's DCSC column structure, derived once: a replay copies it (and
+      // sym_.rowids) around the values its numeric pass writes.
+      c_cp_.push_back(0);
+      for (index_t j = 0; j < sym_.ncols; ++j) {
+        const index_t end = sym_.colptr[static_cast<std::size_t>(j) + 1];
+        if (end == c_cp_.back()) continue;
+        c_jc_.push_back(j);
+        c_cp_.push_back(end);
+      }
     }
 
     // Keep A's structure window alive until every rank finished fetching.
@@ -509,8 +517,9 @@ class SpgemmPlan1D {
     b += local_copies_.size() * sizeof(CopySpan);
     for (const auto& f : fetches_) b += sizeof(FetchOp) + f.spans.size() * sizeof(CopySpan);
     b += bt_src_.size() * sizeof(index_t);
-    b += sym_.bounds.size() * sizeof(index_t) + sym_.colptr.size() * sizeof(index_t) +
+    b += (sym_.bounds.size() + sym_.colptr.size() + sym_.rowids.size()) * sizeof(index_t) +
          sym_.klass.size();
+    b += (c_jc_.size() + c_cp_.size()) * sizeof(index_t);
     return b;
   }
 
@@ -618,13 +627,14 @@ class SpgemmPlan1D {
       if (x + depth < nf) issue(x + depth);
     }
 
-    // Numeric passes in member order.
-    std::vector<CscMatrix<VT>> c_locals;
-    c_locals.reserve(k);
-    for (const auto& op : ops) {
+    // Numeric passes in member order, values only: C's structure is the
+    // plan's cached symbolic result.
+    std::vector<std::vector<VT>> c_vals(k);
+    for (std::size_t m = 0; m < k; ++m) {
       auto ph = comm.phase(Phase::Comp);
-      c_locals.push_back(spgemm_local_numeric<SR, VT>(op.plan->atilde_m_, op.plan->btilde_m_,
-                                                      op.plan->sym_, &op.plan->ws_));
+      auto& p = *ops[m].plan;
+      c_vals[m].resize(p.sym_.rowids.size());
+      spgemm_local_numeric_into<SR, VT>(p.atilde_m_, p.btilde_m_, p.sym_, c_vals[m], &p.ws_);
     }
 
     // Keep every member's value window alive until all ranks finished
@@ -635,8 +645,9 @@ class SpgemmPlan1D {
     out.reserve(k);
     for (std::size_t m = 0; m < k; ++m) {
       auto ph = comm.phase(Phase::Other);
-      DcscMatrix<VT> c_dcsc = DcscMatrix<VT>::from_csc(c_locals[m]);
       auto& p = *ops[m].plan;
+      DcscMatrix<VT> c_dcsc(p.sym_.nrows, p.sym_.ncols, p.c_jc_, p.c_cp_, p.sym_.rowids,
+                            std::move(c_vals[m]));
       ++p.executions_;
       out.emplace_back(p.c_nrows_, p.c_ncols_, p.out_bounds_, comm.rank(), std::move(c_dcsc));
     }
@@ -688,9 +699,12 @@ class SpgemmPlan1D {
   std::vector<FetchOp> fetches_;
   std::vector<index_t> bt_src_;  ///< B̃ value i = B_i.vals[bt_src_[i]]
 
-  // Local engine's cached symbolic result + warm per-thread workspaces.
+  // Local engine's cached symbolic result (C's structure) + warm
+  // per-thread workspaces, and C's DCSC column ids and prefix.
   LocalSymbolic sym_;
   std::vector<detail::Workspace<SR>> ws_;
+  std::vector<index_t> c_jc_;
+  std::vector<index_t> c_cp_;
 
   Spgemm1dInfo plan_info_{};
   index_t plan_rdma_calls_ = 0;
@@ -702,7 +716,7 @@ class SpgemmPlan1D {
 /// plan-then-execute over SpgemmPlan1D; iterated callers should hold the
 /// plan and call execute() per iteration instead.
 /// Phase accounting: inspector work (metadata, masks, fetch planning,
-/// symbolic) → Plan; value assembly + output conversion → Other; the
+/// symbolic) → Plan; value assembly + output DCSC assembly → Other; the
 /// numeric local multiply → Comp; window gets → RDMA counters.
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_1d(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,

@@ -42,7 +42,6 @@ struct RingPlan {
   std::vector<std::uint8_t> acc_first;  ///< 1 = assign, 0 = ⊕-accumulate
   std::size_t acc_nnz = 0;
   DcscMatrix<VT> c_shell;               ///< merged local C structure (values are scratch)
-  std::vector<VT> acc_vals;             ///< replay scratch
 
   /// Exact per-rank collective bytes one value-only replay receives: each
   /// of the (P-1) hop shifts delivers the next slice's value array.
@@ -60,7 +59,6 @@ struct RingPlan {
     for (const auto& h : hops)
       b += h.gcol_ids.size() * sizeof(index_t) + h.starts.size() * sizeof(std::size_t);
     b += acc_dst.size() * sizeof(index_t) + acc_first.size();
-    b += acc_vals.size() * sizeof(VT);
     b += c_shell.jc().size() * sizeof(index_t) + c_shell.cp().size() * sizeof(index_t) +
          c_shell.ir().size() * sizeof(index_t) + c_shell.vals().size() * sizeof(VT);
     return b;
@@ -246,15 +244,16 @@ std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
                     std::to_string(comm.global_rank(comm.rank())) + ")");
   };
 
+  // Per-member merged accumulators: call-local, they become C's values.
   std::vector<VT> circ;
+  std::vector<std::vector<VT>> acc(k);
   {
     auto ph = comm.phase(Phase::Other);
     for (std::size_t m = 0; m < k; ++m) {
-      auto& plan = *ms[m].plan;
       const auto& av = ms[m].a->local().vals();
       guard(av.size(), hop_nnz(m, 0), 0);
       circ.insert(circ.end(), av.begin(), av.end());
-      plan.acc_vals.assign(plan.acc_nnz, VT{});
+      acc[m].assign(ms[m].plan->acc_nnz, VT{});
     }
   }
   rep.mem_charge(circ.size(), circ.size() * sizeof(VT));
@@ -277,7 +276,8 @@ std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
       auto ph = comm.phase(Phase::Comp);
       std::size_t off = 0;
       for (std::size_t m = 0; m < k; ++m) {
-        auto& plan = *ms[m].plan;
+        const auto& plan = *ms[m].plan;
+        auto& av = acc[m];
         const auto& hop = plan.hops[static_cast<std::size_t>(step)];
         const auto mv = cv.subspan(off, hop_nnz(m, step));
         off += mv.size();
@@ -293,8 +293,7 @@ std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
             for (std::size_t q = hop.starts[kpos]; q < hop.starts[kpos + 1]; ++q) {
               const VT v = SR::multiply(mv[q], bvals[p]);
               const auto slot = static_cast<std::size_t>(plan.acc_dst[fl]);
-              plan.acc_vals[slot] =
-                  plan.acc_first[fl] != 0 ? v : SR::add(plan.acc_vals[slot], v);
+              av[slot] = plan.acc_first[fl] != 0 ? v : SR::add(av[slot], v);
               ++fl;
             }
           }
@@ -318,9 +317,8 @@ std::vector<DistMatrix1D<VT>> spgemm_naive_ring_1d_replay(
   auto ph = comm.phase(Phase::Other);
   out.reserve(k);
   for (std::size_t m = 0; m < k; ++m) {
-    auto& plan = *ms[m].plan;
-    DcscMatrix<VT> c_local = plan.c_shell;
-    c_local.mutable_vals() = plan.acc_vals;
+    DcscMatrix<VT> c_local = ms[m].plan->c_shell;
+    c_local.mutable_vals() = std::move(acc[m]);
     out.emplace_back(ms[m].a->nrows(), ms[m].b->ncols(), ms[m].b->bounds(), me,
                      std::move(c_local));
   }

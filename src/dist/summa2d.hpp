@@ -78,7 +78,8 @@ struct SummaSched {
     std::uint64_t b = 0;
     for (const auto& st : stages) {
       b += csc(st.a_blk) + csc(st.b_blk);
-      b += st.sym.bounds.size() * sizeof(index_t) + st.sym.colptr.size() * sizeof(index_t) +
+      b += (st.sym.bounds.size() + st.sym.colptr.size() + st.sym.rowids.size()) *
+               sizeof(index_t) +
            st.sym.klass.size();
       b += st.b_src.size() * sizeof(index_t);
     }
@@ -337,7 +338,6 @@ struct GridPlan {
   GridRoute<VT> route_a, route_b;
   summadetail::SummaSched<VT, SR> sched;
   ScatterRoute<VT> out;
-  std::vector<VT> acc_vals;  ///< replay scratch: this layer's merged partials
 
   /// Exact per-rank collective bytes one value-only replay receives.
   [[nodiscard]] std::uint64_t replay_recv_bytes(int me) const {
@@ -348,7 +348,7 @@ struct GridPlan {
   /// Byte-accurate residency of the full cached program on this rank.
   [[nodiscard]] std::uint64_t bytes_resident() const {
     return route_a.bytes_resident() + route_b.bytes_resident() + sched.bytes_resident() +
-           out.bytes_resident() + acc_vals.size() * sizeof(VT);
+           out.bytes_resident();
   }
 };
 
@@ -454,9 +454,12 @@ void replay_routes_in(Comm& comm, std::span<const GridReplay<VT, SR>> ms) {
 /// fill, numeric pass, ⊕-fold into its merged accumulator in ascending
 /// stage order, the captured fold program's order — runs in member order
 /// with its own flat counter, through the same windowed stage pipeline
-/// (and staging gauge) as the fresh loop.
+/// (and staging gauge) as the fresh loop. Returns each member's merged
+/// accumulator values (call-local; replay_scatter_out consumes them).
 template <typename SR, typename VT>
-void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool budgeted) {
+std::vector<std::vector<VT>> replay_stages(Comm& grid_comm,
+                                           std::span<const GridReplay<VT, SR>> ms,
+                                           bool budgeted) {
   const std::size_t k = ms.size();
   const auto& sched0 = ms[0].plan->sched;
   const int s = static_cast<int>(sched0.stages.size());
@@ -468,7 +471,11 @@ void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool
   Comm col_comm = grid_comm.split(gj, gi);
 
   std::vector<std::size_t> flat(k, 0);
-  for (const auto& m : ms) m.plan->acc_vals.assign(m.plan->sched.acc_nnz, VT{});
+  std::vector<std::vector<VT>> accs(k);
+  for (std::size_t m = 0; m < k; ++m) accs[m].assign(ms[m].plan->sched.acc_nnz, VT{});
+  // One stage's partial-C values: the fold reads values only, in the
+  // cached structure's order.
+  std::vector<VT> c_vals;
   auto stage_of = [&](std::size_t m, int st) -> typename SummaSched<VT, SR>::Stage& {
     return ms[m].plan->sched.stages[static_cast<std::size_t>(st)];
   };
@@ -520,16 +527,16 @@ void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool
         aoff += an;
         boff += bn;
       }
-      CscMatrix<VT> c_blk;
       {
         auto ph = grid_comm.phase(Phase::Comp);
-        c_blk = spgemm_local_numeric<SR, VT>(stage.a_blk, stage.b_blk, stage.sym, &sched.ws);
+        c_vals.resize(stage.sym.rowids.size());
+        spgemm_local_numeric_into<SR, VT>(stage.a_blk, stage.b_blk, stage.sym, c_vals, &sched.ws);
       }
       {
         auto ph = grid_comm.phase(Phase::Other);
         std::size_t& fl = flat[m];
-        auto& acc = ms[m].plan->acc_vals;
-        for (const auto& v : c_blk.vals()) {
+        auto& acc = accs[m];
+        for (const auto& v : c_vals) {
           const auto slot = static_cast<std::size_t>(sched.acc_dst[fl]);
           acc[slot] = sched.acc_first[fl] != 0 ? v : SR::add(acc[slot], v);
           ++fl;
@@ -542,6 +549,7 @@ void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool
   };
 
   pipeline_stages<VT>(grid_comm, row_comm, col_comm, s, spc, spr, budgeted, extract, run_stage);
+  return accs;
 }
 
 /// Replays every member's outbound scatter/merge in ONE alltoallv
@@ -550,10 +558,13 @@ void replay_stages(Comm& grid_comm, std::span<const GridReplay<VT, SR>> ms, bool
 /// in ascending source, then member, order with per-member flat counters
 /// preserves each captured program's flat (rank-major) fold order, so a
 /// non-commutative or non-associative ⊕ still reproduces the fresh result
-/// bit for bit. The shell copies run while chunks are in flight.
+/// bit for bit. The shell copies run while chunks are in flight. `accs`
+/// holds each member's merged partials from replay_stages; they are freed
+/// once packed.
 template <typename SR, typename VT>
 std::vector<DistMatrix1D<VT>> replay_scatter_out(Comm& comm,
-                                                 std::span<const GridReplay<VT, SR>> ms) {
+                                                 std::span<const GridReplay<VT, SR>> ms,
+                                                 std::vector<std::vector<VT>> accs) {
   const int P = comm.size();
   const std::size_t k = ms.size();
   std::vector<std::vector<VT>> send(static_cast<std::size_t>(P));
@@ -565,11 +576,13 @@ std::vector<DistMatrix1D<VT>> replay_scatter_out(Comm& comm,
       std::size_t len = 0;
       for (const auto& m : ms) len += m.plan->out.send_src[sp].size();
       chunk.reserve(len);
-      for (const auto& m : ms) {
-        const VT* pv = m.plan->acc_vals.data();
-        for (auto i : m.plan->out.send_src[sp]) chunk.push_back(pv[static_cast<std::size_t>(i)]);
+      for (std::size_t m = 0; m < k; ++m) {
+        const VT* pv = accs[m].data();
+        for (auto i : ms[m].plan->out.send_src[sp])
+          chunk.push_back(pv[static_cast<std::size_t>(i)]);
       }
     }
+    accs.clear();  // packed: the merged partials die before C is assembled
   }
   std::vector<std::size_t> flat(k, 0);
   auto fold_chunk = [&](int p, const std::vector<VT>& chunk, std::vector<DcscMatrix<VT>>& cs) {
@@ -633,14 +646,15 @@ std::vector<DistMatrix1D<VT>> spgemm_grid_replay(Comm& comm,
                 m.plan->sched.stages.size() == p0.sched.stages.size(),
             "spgemm_grid_replay: members must share the grid shape and layer count");
   summadetail::replay_routes_in<SR>(comm, ms);
+  std::vector<std::vector<VT>> accs;
   if (p0.layers <= 1) {
-    summadetail::replay_stages<SR>(comm, ms, budgeted);
+    accs = summadetail::replay_stages<SR>(comm, ms, budgeted);
   } else {
     const int q2 = comm.size() / p0.layers;
     Comm layer_comm = comm.split(comm.rank() / q2, comm.rank());
-    summadetail::replay_stages<SR>(layer_comm, ms, budgeted);
+    accs = summadetail::replay_stages<SR>(layer_comm, ms, budgeted);
   }
-  return summadetail::replay_scatter_out<SR>(comm, ms);
+  return summadetail::replay_scatter_out<SR>(comm, ms, std::move(accs));
 }
 
 /// 2D sparse SUMMA over 1D-distributed operands on a q_r × q_c grid.

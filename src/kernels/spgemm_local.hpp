@@ -7,21 +7,28 @@
 //   - Hybrid: per-column choice among the three by flops and density —
 //             the configuration the paper uses for its local multiplies.
 //
-// The multiply runs in two phases:
-//   1. symbolic — per-column flops and *exact* output nnz, computed once.
-//      The flop counts drive a flop-prefix-balanced partition of C's columns
-//      across threads (skewed column distributions no longer serialize on
-//      one thread), and the accumulator class of every column is decided
-//      here exactly once.
-//   2. numeric — with C's colptr known exactly, row ids and values are
-//      written straight into the final CscMatrix arrays at precomputed
-//      offsets: no per-range staging buffers, no concatenation copy, and
-//      the output is byte-identical for every thread count.
+// The multiply runs structure first (Gustavson, ACM TOMS 1978):
+//   1. symbolic — per-column flops, the accumulator class of every column,
+//      and C's exact structure: colptr plus the sorted row ids of every
+//      column (LocalSymbolic::rowids). Bitmap columns emit rows by walking
+//      the bitmap words, small-distinct and hash columns sort their touched
+//      rows, and a column with at most one list copies the A column's rows.
+//      The flop counts drive a flop-prefix-balanced partition of C's
+//      columns across threads, so skewed column distributions do not
+//      serialize on one thread.
+//   2. numeric — writes values only, into a caller-provided array laid out
+//      like the symbolic rowids. With the rows known, a semiring that
+//      declares exact_identity() (semiring.hpp) seeds each row with it and
+//      accumulates with a plain ⊕: no first-touch test on any product.
+//      Other semirings keep an assign-on-first-touch flag. Either way the
+//      values are gathered (and the flags cleared) by the known rows: no
+//      bitmap walk and no sort. A cached symbolic result replays the
+//      numeric pass for any values over the same structure.
 // Both phases run on persistent per-thread workspaces: a grow-only
 // open-addressing table cleared in O(1) by bumping a generation tag (no
-// O(capacity) reset per column), a combined stamp+value dense accumulator
-// (one cache line per touched row instead of two), and reusable
-// heap/extraction buffers.
+// O(capacity) reset per column), a dense accumulator with a one-bit-per-row
+// occupancy bitmap, and reusable heap buffers. The output is byte-identical
+// for every thread count.
 //
 // All four accumulators apply ⊕ to each output row's products in the same
 // order (B-column position, then A-row position; the heap breaks row ties by
@@ -103,12 +110,12 @@ inline std::vector<index_t> flop_balanced_split(std::span<const index_t> flops, 
 namespace detail {
 
 /// Accumulator class of one output column, decided once in the symbolic
-/// phase (the seed recomputed this per column per probe in hybrid_range).
-/// The dense accumulator has two extraction strategies: kClassSpa walks the
-/// occupancy bitmap (rows come out sorted for free; right when the column's
-/// flops amortize the O(nrows/64) word scan), kClassSpaSort keeps a touched
-/// list and sorts it (right for small-distinct columns on a small row
-/// dimension, where the word scan would dominate).
+/// phase. The two dense classes differ only in how the symbolic pass finds
+/// the column's rows: kClassSpa walks the occupancy bitmap (rows come out
+/// sorted; right when the column's flops amortize the O(nrows/64) word
+/// scan), kClassSpaSort keeps a touched list and sorts it (right for
+/// small-distinct columns on a small row dimension). The numeric pass
+/// treats both alike.
 enum ColClass : std::uint8_t {
   kClassHeap = 0,
   kClassHash = 1,
@@ -156,11 +163,10 @@ struct Workspace {
   // data() and its proxy references defeat the raw-pointer inner loops.
   using StoredT = std::conditional_t<std::is_same_v<T, bool>, std::uint8_t, T>;
 
-  // Grow-only open-addressing table shared by the symbolic count and the
+  // Grow-only open-addressing table shared by the symbolic pass and the
   // numeric hash accumulator. A slot is occupied iff its generation tag
-  // equals `gen`; bumping `gen` clears the whole table in O(1), replacing
-  // the seed's O(capacity) keys.assign per column. Key and tag share a
-  // 16-byte slot so a probe touches one cache line.
+  // equals `gen`; bumping `gen` clears the whole table in O(1). Key and tag
+  // share a 16-byte slot so a probe touches one cache line.
   struct HSlot {
     index_t key;
     std::uint64_t gen;
@@ -169,23 +175,11 @@ struct Workspace {
   std::vector<StoredT> hvals;
   std::uint64_t gen = 0;
 
-  // Bitmap-SPA accumulator (SPA class; lazily sized to the row dimension):
-  // the occupancy bitmap (1 bit/row, L1-resident) replaces per-row stamps,
-  // and extraction walks the bitmap words in order — output rows come out
-  // already sorted, so the SPA class needs no per-column sort at all.
-  // Invariant: `bits` is all-zero between columns.
+  // Dense accumulator (SPA classes; lazily sized to the row dimension) and
+  // its occupancy bitmap (1 bit/row, L1-resident). Invariant: `bits` is
+  // all-zero between columns.
   std::vector<StoredT> accum;
   std::vector<std::uint64_t> bits;
-
-  // Stamp-SPA state (kClassSpaSort): per-row stamps mark occupancy and a
-  // touched list is sorted at extraction — cheaper than the bitmap word
-  // scan when the column's distinct rows are few and the row dim is small.
-  std::vector<index_t> stamp;
-  index_t spa_token = 0;
-  std::vector<index_t> touched;
-
-  // (row, slot) extraction pairs for hash columns.
-  std::vector<std::pair<index_t, index_t>> extracted;
 
   // Heap-merge entries: current row of list `list` at position `pos`.
   struct HeapEntry {
@@ -210,56 +204,21 @@ struct Workspace {
   }
 
   void ensure_dense(index_t nrows) {
-    // accum needs no initialization: a slot is only read after the column's
-    // first store to it (guarded by the bitmap or the stamp).
+    // accum needs no initialization: a slot is only read after the column
+    // seeded it or stored its first product.
     if (accum.size() < static_cast<std::size_t>(nrows))
       accum.resize(static_cast<std::size_t>(nrows));
     const auto words = static_cast<std::size_t>((nrows + 63) / 64);
     if (bits.size() < words) bits.resize(words, 0);
   }
-
-  void ensure_stamp(index_t nrows) {
-    ensure_dense(nrows);
-    if (stamp.size() < static_cast<std::size_t>(nrows)) {
-      stamp.assign(static_cast<std::size_t>(nrows), -1);
-      spa_token = 0;
-    }
-  }
 };
 
-/// Exact number of distinct output rows of column j, via the generation-
-/// stamped table (no O(nrows) state needed for sparse columns).
+/// Appends column j's distinct rows, ascending, by marking the row bitmap
+/// (the probes stay L1-resident) and walking its words in order; the scan is
+/// amortized by the classify() thresholds.
 template <SemiringConcept SR, typename VT>
-index_t symbolic_count_hash(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                            index_t j, index_t col_flops) {
-  ws.ensure_hash_capacity(std::min<index_t>(col_flops, a.nrows()));
-  ++ws.gen;
-  const std::uint64_t gen = ws.gen;
-  auto* slots = ws.hslots.data();
-  const std::size_t mask = ws.hslots.size() - 1;
-  const index_t* acp = a.colptr().data();
-  const index_t* arw = a.rowids().data();
-  index_t count = 0;
-  for (auto k : b.col_rows(j)) {
-    for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
-      const index_t r = arw[q];
-      std::size_t h = hash_mix(r) & mask;
-      while (slots[h].gen == gen && slots[h].key != r) h = (h + 1) & mask;
-      if (slots[h].gen != gen) {
-        slots[h] = {r, gen};
-        ++count;
-      }
-    }
-  }
-  return count;
-}
-
-/// Exact distinct-row count for dense-ish columns via the row bitmap (the
-/// probes stay L1-resident; the closing popcount scan is amortized by the
-/// classify() thresholds) .
-template <SemiringConcept SR, typename VT>
-index_t symbolic_count_dense(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                             index_t j) {
+void symbolic_rows_bitmap(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                          index_t j, std::vector<index_t>& out) {
   ws.ensure_dense(a.nrows());
   auto* bits = ws.bits.data();
   const index_t* acp = a.colptr().data();
@@ -271,67 +230,109 @@ index_t symbolic_count_dense(Workspace<SR>& ws, const CscMatrix<VT>& a, const Cs
     }
   }
   const auto words = static_cast<std::size_t>((a.nrows() + 63) / 64);
-  index_t count = 0;
   for (std::size_t w = 0; w < words; ++w) {
-    count += std::popcount(bits[w]);
+    std::uint64_t word = bits[w];
+    if (word == 0) continue;
     bits[w] = 0;
+    const auto base = static_cast<index_t>(w << 6);
+    do {
+      out.push_back(base + std::countr_zero(word));
+      word &= word - 1;
+    } while (word != 0);
   }
-  return count;
 }
 
-/// Exact distinct-row count via per-row stamps (small-distinct columns on a
-/// cache-resident row dimension: a direct indexed probe beats hashing).
+/// Appends column j's distinct rows, ascending, by collecting first touches
+/// behind the row bitmap and sorting them (small-distinct columns on a
+/// cache-resident row dimension: the sort is cheaper than the word scan).
 template <SemiringConcept SR, typename VT>
-index_t symbolic_count_stamp(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                             index_t j) {
-  ws.ensure_stamp(a.nrows());
-  const index_t token = ++ws.spa_token;
-  index_t* stamp = ws.stamp.data();
+void symbolic_rows_touched(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                           index_t j, std::vector<index_t>& out) {
+  ws.ensure_dense(a.nrows());
+  auto* bits = ws.bits.data();
   const index_t* acp = a.colptr().data();
   const index_t* arw = a.rowids().data();
-  index_t count = 0;
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
   for (auto k : b.col_rows(j)) {
     for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
       const index_t r = arw[q];
-      if (stamp[r] != token) {
-        stamp[r] = token;
-        ++count;
+      const auto w = static_cast<std::size_t>(r) >> 6;
+      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+      if ((bits[w] & bit) == 0) {
+        bits[w] |= bit;
+        out.push_back(r);
       }
     }
   }
-  return count;
+  std::sort(out.begin() + first, out.end());
+  for (auto it = out.begin() + first; it != out.end(); ++it)
+    bits[static_cast<std::size_t>(*it) >> 6] = 0;
 }
 
-/// Symbolic pass over columns [jlo, jhi): classifies each column and
-/// records its exact output nnz in counts[j].
+/// Appends column j's distinct rows, ascending, through the generation-
+/// stamped table (no O(nrows) state needed for sparse columns).
+template <SemiringConcept SR, typename VT>
+void symbolic_rows_hash(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                        index_t j, index_t col_flops, std::vector<index_t>& out) {
+  ws.ensure_hash_capacity(std::min<index_t>(col_flops, a.nrows()));
+  ++ws.gen;
+  const std::uint64_t gen = ws.gen;
+  auto* slots = ws.hslots.data();
+  const std::size_t mask = ws.hslots.size() - 1;
+  const index_t* acp = a.colptr().data();
+  const index_t* arw = a.rowids().data();
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  for (auto k : b.col_rows(j)) {
+    for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
+      const index_t r = arw[q];
+      std::size_t h = hash_mix(r) & mask;
+      while (slots[h].gen == gen && slots[h].key != r) h = (h + 1) & mask;
+      if (slots[h].gen != gen) {
+        slots[h] = {r, gen};
+        out.push_back(r);
+      }
+    }
+  }
+  std::sort(out.begin() + first, out.end());
+}
+
+/// Symbolic pass over columns [jlo, jhi): classifies each column, records
+/// its exact output nnz in counts[j] and appends its sorted rows to `rows`.
 template <SemiringConcept SR, typename VT>
 void symbolic_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, index_t jhi,
                     LocalKernel kernel, std::span<const index_t> flops, Workspace<SR>& ws,
-                    std::span<index_t> counts, std::span<std::uint8_t> klass) {
+                    std::span<index_t> counts, std::span<std::uint8_t> klass,
+                    std::vector<index_t>& rows) {
   for (index_t j = jlo; j < jhi; ++j) {
     const index_t f = flops[static_cast<std::size_t>(j)];
-    const index_t lists = b.col_nnz(j);
-    ColClass cls = classify(f, lists, a.nrows(), kernel);
+    const auto lists = b.col_rows(j);
+    ColClass cls = classify(f, static_cast<index_t>(lists.size()), a.nrows(), kernel);
     klass[static_cast<std::size_t>(j)] = cls;
-    if (lists <= 1) {
+    const std::size_t before = rows.size();
+    if (lists.size() <= 1) {
       // 0 or 1 selected A columns: the output is that column (scaled), so
-      // the count is known without touching A's row ids at all.
-      counts[static_cast<std::size_t>(j)] = f;
+      // its rows are A's, copied without any accumulator.
+      if (!lists.empty()) {
+        auto ars = a.col_rows(lists[0]);
+        rows.insert(rows.end(), ars.begin(), ars.end());
+      }
     } else if (cls == kClassSpa) {
-      counts[static_cast<std::size_t>(j)] = symbolic_count_dense(ws, a, b, j);
+      symbolic_rows_bitmap(ws, a, b, j, rows);
     } else if (cls == kClassSpaSort) {
-      counts[static_cast<std::size_t>(j)] = symbolic_count_stamp(ws, a, b, j);
+      symbolic_rows_touched(ws, a, b, j, rows);
     } else {
-      counts[static_cast<std::size_t>(j)] = symbolic_count_hash(ws, a, b, j, f);
+      symbolic_rows_hash(ws, a, b, j, f, rows);
     }
+    counts[static_cast<std::size_t>(j)] = static_cast<index_t>(rows.size() - before);
   }
 }
 
-/// Numeric SPA column: bitmap-guarded dense accumulate, then an in-order
-/// walk of the bitmap words emits rows already sorted — no per-column sort.
+/// Numeric dense column over its known rows. With an exact identity each
+/// row is seeded and every product is ⊕-ed in with no test; otherwise the
+/// bitmap marks first touches, and the gather clears it by the known rows.
 template <SemiringConcept SR, typename VT>
-void numeric_spa_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t j,
-                     index_t* out_rows, VT* out_vals) {
+void numeric_dense_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                       index_t j, const index_t* rows, index_t cnt, VT* out_vals) {
   using T = typename SR::value_type;
   using StoredT = typename Workspace<SR>::StoredT;
   ws.ensure_dense(a.nrows());
@@ -342,88 +343,48 @@ void numeric_spa_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<
   const VT* avl = a.vals().data();
   auto bks = b.col_rows(j);
   auto bvs = b.col_vals(j);
+  if constexpr (HasExactIdentity<SR>) {
+    const auto e = static_cast<StoredT>(SR::exact_identity());
+    for (index_t i = 0; i < cnt; ++i) accum[rows[i]] = e;
+  }
   for (std::size_t p = 0; p < bks.size(); ++p) {
     const index_t k = bks[p];
     const T bv = static_cast<T>(bvs[p]);
     for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
       const index_t r = arw[q];
       const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
-      const auto w = static_cast<std::size_t>(r) >> 6;
-      const std::uint64_t bit = std::uint64_t{1} << (r & 63);
-      if ((bits[w] & bit) == 0) {
-        bits[w] |= bit;
-        accum[r] = static_cast<StoredT>(prod);
-      } else {
+      if constexpr (HasExactIdentity<SR>) {
         accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
+      } else {
+        const auto w = static_cast<std::size_t>(r) >> 6;
+        const std::uint64_t bit = std::uint64_t{1} << (r & 63);
+        if ((bits[w] & bit) == 0) {
+          bits[w] |= bit;
+          accum[r] = static_cast<StoredT>(prod);
+        } else {
+          accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
+        }
       }
     }
   }
-  const auto words = static_cast<std::size_t>((a.nrows() + 63) / 64);
-  std::size_t out = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    std::uint64_t word = bits[w];
-    if (word == 0) continue;
-    bits[w] = 0;
-    const auto base = static_cast<index_t>(w << 6);
-    do {
-      const index_t r = base + std::countr_zero(word);
-      word &= word - 1;
-      out_rows[out] = r;
-      out_vals[out] = static_cast<VT>(accum[r]);
-      ++out;
-    } while (word != 0);
+  for (index_t i = 0; i < cnt; ++i) {
+    out_vals[i] = static_cast<VT>(accum[rows[i]]);
+    if constexpr (!HasExactIdentity<SR>) bits[static_cast<std::size_t>(rows[i]) >> 6] = 0;
   }
 }
 
-/// Numeric stamp-SPA column: dense accumulate behind per-row stamps, then
-/// sort the touched rows (small-distinct columns: the sort is cheaper than
-/// walking the whole bitmap word range).
+/// Numeric hash column over its known rows; products are ⊕-ed in
+/// (B-position, A-position) order, so per-row ⊕ order matches the SPA
+/// reference bit for bit. With an exact identity the rows are pre-inserted
+/// seeded; otherwise a row is inserted at its first product. Every probe
+/// for a present key stops at its slot on the key alone: the slots ahead of
+/// it in its chain were all occupied this column when it was inserted.
 template <SemiringConcept SR, typename VT>
-void numeric_spa_sort_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                          index_t j, index_t* out_rows, VT* out_vals) {
+void numeric_hash_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                      index_t j, const index_t* rows, index_t cnt, VT* out_vals) {
   using T = typename SR::value_type;
   using StoredT = typename Workspace<SR>::StoredT;
-  ws.ensure_stamp(a.nrows());
-  const index_t token = ++ws.spa_token;
-  index_t* stamp = ws.stamp.data();
-  StoredT* accum = ws.accum.data();
-  const index_t* acp = a.colptr().data();
-  const index_t* arw = a.rowids().data();
-  const VT* avl = a.vals().data();
-  ws.touched.clear();
-  auto bks = b.col_rows(j);
-  auto bvs = b.col_vals(j);
-  for (std::size_t p = 0; p < bks.size(); ++p) {
-    const index_t k = bks[p];
-    const T bv = static_cast<T>(bvs[p]);
-    for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
-      const index_t r = arw[q];
-      const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
-      if (stamp[r] != token) {
-        stamp[r] = token;
-        accum[r] = static_cast<StoredT>(prod);
-        ws.touched.push_back(r);
-      } else {
-        accum[r] = static_cast<StoredT>(SR::add(static_cast<T>(accum[r]), prod));
-      }
-    }
-  }
-  std::sort(ws.touched.begin(), ws.touched.end());
-  for (std::size_t i = 0; i < ws.touched.size(); ++i) {
-    out_rows[i] = ws.touched[i];
-    out_vals[i] = static_cast<VT>(accum[ws.touched[i]]);
-  }
-}
-
-/// Numeric hash column: generation-stamped open addressing; products are
-/// inserted in (B-position, A-position) order so per-row ⊕ order matches
-/// the SPA reference bit for bit.
-template <SemiringConcept SR, typename VT>
-void numeric_hash_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t j,
-                      index_t col_nnz, index_t* out_rows, VT* out_vals) {
-  using T = typename SR::value_type;
-  using StoredT = typename Workspace<SR>::StoredT;
-  ws.ensure_hash_capacity(col_nnz);
+  ws.ensure_hash_capacity(cnt);
   ++ws.gen;
   const std::uint64_t gen = ws.gen;
   auto* slots = ws.hslots.data();
@@ -432,7 +393,20 @@ void numeric_hash_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix
   const index_t* acp = a.colptr().data();
   const index_t* arw = a.rowids().data();
   const VT* avl = a.vals().data();
-  ws.extracted.clear();
+  auto find = [&](index_t r) {
+    std::size_t h = hash_mix(r) & mask;
+    while (slots[h].key != r) h = (h + 1) & mask;
+    return h;
+  };
+  if constexpr (HasExactIdentity<SR>) {
+    const auto e = static_cast<StoredT>(SR::exact_identity());
+    for (index_t i = 0; i < cnt; ++i) {
+      std::size_t h = hash_mix(rows[i]) & mask;
+      while (slots[h].gen == gen) h = (h + 1) & mask;
+      slots[h] = {rows[i], gen};
+      hvals[h] = e;
+    }
+  }
   auto bks = b.col_rows(j);
   auto bvs = b.col_vals(j);
   for (std::size_t p = 0; p < bks.size(); ++p) {
@@ -441,49 +415,40 @@ void numeric_hash_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix
     for (index_t q = acp[k]; q < acp[k + 1]; ++q) {
       const index_t r = arw[q];
       const T prod = SR::multiply(static_cast<T>(avl[q]), bv);
-      std::size_t h = hash_mix(r) & mask;
-      while (true) {
+      if constexpr (HasExactIdentity<SR>) {
+        const std::size_t h = find(r);
+        hvals[h] = static_cast<StoredT>(SR::add(static_cast<T>(hvals[h]), prod));
+      } else {
+        std::size_t h = hash_mix(r) & mask;
+        while (slots[h].gen == gen && slots[h].key != r) h = (h + 1) & mask;
         if (slots[h].gen != gen) {
           slots[h] = {r, gen};
           hvals[h] = static_cast<StoredT>(prod);
-          ws.extracted.emplace_back(r, static_cast<index_t>(h));
-          break;
-        }
-        if (slots[h].key == r) {
+        } else {
           hvals[h] = static_cast<StoredT>(SR::add(static_cast<T>(hvals[h]), prod));
-          break;
         }
-        h = (h + 1) & mask;
       }
     }
   }
-  std::sort(ws.extracted.begin(), ws.extracted.end());
-  for (std::size_t i = 0; i < ws.extracted.size(); ++i) {
-    out_rows[i] = ws.extracted[i].first;
-    out_vals[i] = static_cast<VT>(hvals[static_cast<std::size_t>(ws.extracted[i].second)]);
-  }
+  for (index_t i = 0; i < cnt; ++i) out_vals[i] = static_cast<VT>(hvals[find(rows[i])]);
 }
 
 /// Numeric heap column: k-way merge of the selected A columns. Row ties pop
 /// in ascending B-position (`list`) order, which makes the per-row ⊕ order
-/// identical to the SPA reference. Merges of one list degenerate to a
-/// scaled copy.
+/// identical to the SPA reference; rows pop ascending, so the values land in
+/// the known rows' order. Merges of one list degenerate to a scaled copy.
 template <SemiringConcept SR, typename VT>
-void numeric_heap_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t j,
-                      index_t* out_rows, VT* out_vals) {
+void numeric_heap_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                      index_t j, VT* out_vals) {
   using T = typename SR::value_type;
   using Entry = typename Workspace<SR>::HeapEntry;
   auto bks = b.col_rows(j);
   auto bvs = b.col_vals(j);
   if (bks.size() == 1) {
-    const index_t k = bks[0];
     const T bv = static_cast<T>(bvs[0]);
-    auto ars = a.col_rows(k);
-    auto avs = a.col_vals(k);
-    for (std::size_t q = 0; q < ars.size(); ++q) {
-      out_rows[q] = ars[q];
+    auto avs = a.col_vals(bks[0]);
+    for (std::size_t q = 0; q < avs.size(); ++q)
       out_vals[q] = static_cast<VT>(SR::multiply(static_cast<T>(avs[q]), bv));
-    }
     return;
   }
   auto cmp = [](const Entry& x, const Entry& y) {
@@ -508,11 +473,7 @@ void numeric_heap_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix
     if (e.row == cur_row) {
       cur_val = SR::add(cur_val, prod);
     } else {
-      if (cur_row >= 0) {
-        out_rows[w] = cur_row;
-        out_vals[w] = static_cast<VT>(cur_val);
-        ++w;
-      }
+      if (cur_row >= 0) out_vals[w++] = static_cast<VT>(cur_val);
       cur_row = e.row;
       cur_val = prod;
     }
@@ -521,30 +482,25 @@ void numeric_heap_col(Workspace<SR>& ws, const CscMatrix<VT>& a, const CscMatrix
       std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
     }
   }
-  if (cur_row >= 0) {
-    out_rows[w] = cur_row;
-    out_vals[w] = static_cast<VT>(cur_val);
-  }
+  if (cur_row >= 0) out_vals[w] = static_cast<VT>(cur_val);
 }
 
-/// Numeric pass over columns [jlo, jhi): each column writes its rows/values
-/// directly into the final CSC arrays at the offsets the symbolic phase
-/// fixed — zero-copy assembly, no per-range staging.
+/// Numeric pass over columns [jlo, jhi): each column writes its values
+/// straight into the output at the offsets the symbolic phase fixed.
 template <SemiringConcept SR, typename VT>
 void run_range(const CscMatrix<VT>& a, const CscMatrix<VT>& b, index_t jlo, index_t jhi,
-               std::span<const index_t> colptr, std::span<const std::uint8_t> klass,
-               Workspace<SR>& ws, index_t* rowids, VT* vals) {
+               std::span<const index_t> colptr, const index_t* rowids,
+               std::span<const std::uint8_t> klass, Workspace<SR>& ws, VT* vals) {
   for (index_t j = jlo; j < jhi; ++j) {
     const index_t off = colptr[static_cast<std::size_t>(j)];
     const index_t cnt = colptr[static_cast<std::size_t>(j) + 1] - off;
     if (cnt == 0) continue;
-    index_t* out_rows = rowids + off;
-    VT* out_vals = vals + off;
     switch (klass[static_cast<std::size_t>(j)]) {
-      case kClassHeap: numeric_heap_col<SR, VT>(ws, a, b, j, out_rows, out_vals); break;
-      case kClassHash: numeric_hash_col<SR, VT>(ws, a, b, j, cnt, out_rows, out_vals); break;
-      case kClassSpaSort: numeric_spa_sort_col<SR, VT>(ws, a, b, j, out_rows, out_vals); break;
-      default: numeric_spa_col<SR, VT>(ws, a, b, j, out_rows, out_vals); break;
+      case kClassHeap: numeric_heap_col<SR, VT>(ws, a, b, j, vals + off); break;
+      case kClassHash:
+        numeric_hash_col<SR, VT>(ws, a, b, j, rowids + off, cnt, vals + off);
+        break;
+      default: numeric_dense_col<SR, VT>(ws, a, b, j, rowids + off, cnt, vals + off); break;
     }
   }
 }
@@ -564,40 +520,26 @@ void parallel_for_parts(int parts, F&& fn) {
 
 }  // namespace detail
 
-/// Exact per-column output nnz of C = A·B (structural; semiring-independent).
-/// This is the symbolic phase of the two-phase engine exposed on its own —
-/// useful for exact output pre-sizing and for validating that the numeric
-/// pass produced precisely the predicted structure.
-template <typename VT>
-std::vector<index_t> symbolic_nnz(const CscMatrix<VT>& a, const CscMatrix<VT>& b) {
-  require(a.ncols() == b.nrows(), "symbolic_nnz: inner dimension mismatch");
-  auto flops = symbolic_flops(a, b);
-  std::vector<index_t> counts(static_cast<std::size_t>(b.ncols()), 0);
-  std::vector<std::uint8_t> klass(static_cast<std::size_t>(b.ncols()), 0);
-  detail::Workspace<PlusTimes<double>> ws;
-  detail::symbolic_range<PlusTimes<double>, VT>(a, b, 0, b.ncols(), LocalKernel::Hybrid, flops,
-                                                ws, counts, klass);
-  return counts;
-}
-
 /// Cached symbolic result of one local multiply: everything the numeric
-/// pass needs that depends only on the operands' *structure*. Reusable
-/// across value changes (the inspector–executor split of the 1D pipeline
-/// caches one of these inside SpgemmPlan1D).
+/// pass needs that depends only on the operands' *structure*, C's row ids
+/// included. Reusable across value changes (the inspector–executor split of
+/// the 1D pipeline caches one of these inside SpgemmPlan1D).
 struct LocalSymbolic {
   index_t nrows = 0;                ///< C's row dimension (= a.nrows())
   index_t ncols = 0;                ///< C's column dimension (= b.ncols())
   int nt = 1;                       ///< resolved thread count
   std::vector<index_t> bounds;      ///< flop-balanced thread boundaries, size nt+1
   std::vector<index_t> colptr;      ///< exact C colptr, size ncols+1
+  std::vector<index_t> rowids;      ///< C's row ids, sorted within each column
   std::vector<std::uint8_t> klass;  ///< per-column accumulator class
 };
 
-/// Symbolic phase on its own: exact per-column output nnz, accumulator
-/// class, and the flop-balanced thread partition. Structural only — valid
-/// for any value assignment over the same sparsity pattern. `workspaces`
-/// (optional) lets callers keep the per-thread scratch warm across calls;
-/// it is resized to the resolved thread count.
+/// Symbolic phase on its own: C's exact structure (colptr and row ids),
+/// the accumulator class of every column, and the flop-balanced thread
+/// partition. Structural only — valid for any value assignment over the
+/// same sparsity pattern. `workspaces` (optional) lets callers keep the
+/// per-thread scratch warm across calls; it is resized to the resolved
+/// thread count.
 template <SemiringConcept SR, typename VT>
 LocalSymbolic spgemm_local_symbolic(const CscMatrix<VT>& a, const CscMatrix<VT>& b,
                                     LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
@@ -632,42 +574,77 @@ LocalSymbolic spgemm_local_symbolic(const CscMatrix<VT>& a, const CscMatrix<VT>&
   auto& ws = workspaces != nullptr ? *workspaces : local_ws;
   if (ws.size() < static_cast<std::size_t>(nt)) ws.resize(static_cast<std::size_t>(nt));
 
+  // Each thread appends its contiguous column range's rows to its own
+  // buffer, reserved once at the range's output bound (a column holds at
+  // most min(flops, nrows) rows), so it never regrows. The buffers
+  // concatenate in thread order into the exact-size rowids.
+  std::vector<std::vector<index_t>> part_rows(static_cast<std::size_t>(nt));
   detail::parallel_for_parts(nt, [&](int t) {
-    detail::symbolic_range<SR, VT>(
-        a, b, sym.bounds[static_cast<std::size_t>(t)], sym.bounds[static_cast<std::size_t>(t) + 1],
-        kernel, flops, ws[static_cast<std::size_t>(t)],
-        std::span<index_t>(sym.colptr).subspan(1), sym.klass);
+    const auto st = static_cast<std::size_t>(t);
+    std::size_t bound = 0;
+    for (index_t j = sym.bounds[st]; j < sym.bounds[st + 1]; ++j)
+      bound += static_cast<std::size_t>(std::min(flops[static_cast<std::size_t>(j)], a.nrows()));
+    part_rows[st].reserve(bound);
+    detail::symbolic_range<SR, VT>(a, b, sym.bounds[st], sym.bounds[st + 1], kernel, flops, ws[st],
+                                   std::span<index_t>(sym.colptr).subspan(1), sym.klass,
+                                   part_rows[st]);
   });
   for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j)
     sym.colptr[j + 1] += sym.colptr[j];
+  sym.rowids.reserve(static_cast<std::size_t>(sym.colptr.back()));
+  for (auto& rows : part_rows) {
+    sym.rowids.insert(sym.rowids.end(), rows.begin(), rows.end());
+    std::vector<index_t>().swap(rows);
+  }
   return sym;
 }
 
-/// Numeric phase replaying a cached symbolic result: writes row ids and
-/// values straight into the exactly pre-sized output. The operands must
-/// have the structure the symbolic pass analyzed (values may differ).
+/// Exact per-column output nnz of C = A·B (structural; semiring-independent):
+/// the symbolic phase's column counts on their own.
+template <typename VT>
+std::vector<index_t> symbolic_nnz(const CscMatrix<VT>& a, const CscMatrix<VT>& b) {
+  require(a.ncols() == b.nrows(), "symbolic_nnz: inner dimension mismatch");
+  const auto sym = spgemm_local_symbolic<PlusTimes<double>, VT>(a, b);
+  std::vector<index_t> counts(static_cast<std::size_t>(b.ncols()));
+  for (std::size_t j = 0; j < counts.size(); ++j) counts[j] = sym.colptr[j + 1] - sym.colptr[j];
+  return counts;
+}
+
+/// Numeric phase replaying a cached symbolic result, values only: writes
+/// C's values into `vals`, laid out like sym.rowids. The operands must have
+/// the structure the symbolic pass analyzed (values may differ). No value
+/// of an earlier call is read: every row is seeded or first-touched anew.
 template <SemiringConcept SR, typename VT>
-CscMatrix<VT> spgemm_local_numeric(const CscMatrix<VT>& a, const CscMatrix<VT>& b,
-                                   const LocalSymbolic& sym,
-                                   std::vector<detail::Workspace<SR>>* workspaces = nullptr) {
+void spgemm_local_numeric_into(const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                               const LocalSymbolic& sym, std::span<VT> vals,
+                               std::vector<detail::Workspace<SR>>* workspaces = nullptr) {
   require(a.nrows() == sym.nrows && b.ncols() == sym.ncols,
           "spgemm_local_numeric: operand dimensions do not match the symbolic plan");
   require(a.ncols() == b.nrows(), "spgemm_local_numeric: inner dimension mismatch");
-  const auto total = static_cast<std::size_t>(sym.colptr.back());
+  require(vals.size() == sym.rowids.size(),
+          "spgemm_local_numeric: value array does not match the symbolic structure");
 
   std::vector<detail::Workspace<SR>> local_ws;
   auto& ws = workspaces != nullptr ? *workspaces : local_ws;
   if (ws.size() < static_cast<std::size_t>(sym.nt))
     ws.resize(static_cast<std::size_t>(sym.nt));
 
-  std::vector<index_t> rowids(total);
-  std::vector<VT> vals(total);
   detail::parallel_for_parts(sym.nt, [&](int t) {
-    detail::run_range<SR, VT>(a, b, sym.bounds[static_cast<std::size_t>(t)],
-                              sym.bounds[static_cast<std::size_t>(t) + 1], sym.colptr, sym.klass,
-                              ws[static_cast<std::size_t>(t)], rowids.data(), vals.data());
+    const auto st = static_cast<std::size_t>(t);
+    detail::run_range<SR, VT>(a, b, sym.bounds[st], sym.bounds[st + 1], sym.colptr,
+                              sym.rowids.data(), sym.klass, ws[st], vals.data());
   });
-  return CscMatrix<VT>(sym.nrows, sym.ncols, sym.colptr, std::move(rowids), std::move(vals));
+}
+
+/// Numeric phase returning C as a CscMatrix: the values-only pass plus a
+/// copy of the cached structure.
+template <SemiringConcept SR, typename VT>
+CscMatrix<VT> spgemm_local_numeric(const CscMatrix<VT>& a, const CscMatrix<VT>& b,
+                                   const LocalSymbolic& sym,
+                                   std::vector<detail::Workspace<SR>>* workspaces = nullptr) {
+  std::vector<VT> vals(sym.rowids.size());
+  spgemm_local_numeric_into<SR, VT>(a, b, sym, vals, workspaces);
+  return CscMatrix<VT>(sym.nrows, sym.ncols, sym.colptr, sym.rowids, std::move(vals));
 }
 
 /// C = A ⊕.⊗ B with the chosen accumulator. `threads` > 1 splits C's columns
@@ -682,7 +659,10 @@ CscMatrix<VT> spgemm_local(const CscMatrix<VT>& a, const CscMatrix<VT>& b,
   require(threads >= 1, "spgemm_local: threads must be >= 1");
   std::vector<detail::Workspace<SR>> workspaces;
   auto sym = spgemm_local_symbolic<SR, VT>(a, b, kernel, threads, &workspaces);
-  return spgemm_local_numeric<SR, VT>(a, b, sym, &workspaces);
+  std::vector<VT> vals(sym.rowids.size());
+  spgemm_local_numeric_into<SR, VT>(a, b, sym, vals, &workspaces);
+  return CscMatrix<VT>(sym.nrows, sym.ncols, std::move(sym.colptr), std::move(sym.rowids),
+                       std::move(vals));
 }
 
 /// Convenience numeric wrapper over plus-times.

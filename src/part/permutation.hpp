@@ -82,16 +82,28 @@ DistMatrix1D<VT> permute_symmetric_dist(Comm& comm, const DistMatrix1D<VT>& a,
     }
   }
   auto recv = comm.alltoallv(send);
+  // Each staging copy is freed as soon as the next one holds its triples:
+  // permuting a product C moves every one of its entries, so the sent,
+  // received and canonicalized copies must not all be live at once.
+  std::vector<std::vector<Triple<VT>>>().swap(send);
 
   auto ph = comm.phase(Phase::Reorder);
   index_t lo = new_bounds[static_cast<std::size_t>(comm.rank())];
   index_t hi = new_bounds[static_cast<std::size_t>(comm.rank()) + 1];
-  CooMatrix<VT> coo(a.nrows(), hi - lo);
-  for (auto& chunk : recv)
-    for (auto& t : chunk) coo.push(t.row, t.col - lo, t.val);
-  coo.canonicalize();
+  DcscMatrix<VT> slice;
+  {
+    CooMatrix<VT> coo(a.nrows(), hi - lo);
+    std::size_t n = 0;
+    for (const auto& chunk : recv) n += chunk.size();
+    coo.triples().reserve(n);
+    for (const auto& chunk : recv)
+      for (const auto& t : chunk) coo.push(t.row, t.col - lo, t.val);
+    if (route == nullptr) std::vector<std::vector<Triple<VT>>>().swap(recv);
+    coo.canonicalize();
+    slice = DcscMatrix<VT>::from_coo(coo);
+  }
   auto out = DistMatrix1D<VT>(a.nrows(), a.ncols(), std::move(new_bounds), comm.rank(),
-                              DcscMatrix<VT>::from_coo(coo));
+                              std::move(slice));
   if (route != nullptr) {
     // Resolve each received triple to its flat value slot in the assembled
     // slice by structural lookup — independent of canonicalize's internal

@@ -140,6 +140,11 @@ void expect_batched_bit_identical(int P, Algo algo, const std::vector<CscMatrix<
     EXPECT_EQ(c.report().cache_misses, want_misses);
     EXPECT_GT(c.report().cache_hits_by_algo[distdetail::algo_slot(algo)], 0u);
     EXPECT_EQ(c.report().cache_bytes_resident, cache.stats().bytes_resident);
+    // The gauge is exactly the agreed (max over ranks) residency of the
+    // resident plans, each recomputed now, after the hot replays.
+    std::uint64_t sum = 0;
+    for (const auto& e : cache.entries()) sum += c.allreduce_max(e.plan->bytes_resident());
+    EXPECT_EQ(cache.stats().bytes_resident, sum) << algo_name(algo);
   });
 }
 
@@ -369,6 +374,42 @@ TEST(PlanCacheBatched, BatchOfOneIsTheSequentialReplay) {
 }
 
 // ---- LRU order, budget-forced eviction, rebuild ---------------------------
+
+// ---- residency accounting -------------------------------------------------
+
+TEST(PlanCacheResidency, Sa1dPlanCountsCachedRowIds) {
+  // Arrow pattern (dense first row and column plus the diagonal): its square
+  // is dense, so C's cached row ids outweigh every other array the SA-1D
+  // plan keeps, and a residency that left them out would fall below the
+  // bound.
+  const index_t n = 96;
+  CooMatrix<double> coo(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    coo.push(i, i, 1.0);
+    if (i == 0) continue;
+    coo.push(0, i, 0.5);
+    coo.push(i, 0, 0.25);
+  }
+  coo.canonicalize();
+  const auto pat = CscMatrix<double>::from_coo(coo);
+  Machine m(4);
+  m.run([&](Comm& c) {
+    PlanCache<double> cache;
+    DistSpgemmOptions opt;
+    opt.algo = Algo::SparseAware1D;
+    for (int t = 0; t < 2; ++t) {
+      auto d = DistMatrix1D<double>::from_global(c, with_values(pat, t));
+      auto out = spgemm_dist_cached_mt(c, cache, d, d, opt);
+      ASSERT_EQ(cache.size(), 1u);
+      const auto& plan = *cache.entries().front().plan;
+      EXPECT_EQ(plan.chosen(), Algo::SparseAware1D);
+      EXPECT_EQ(out.local_nnz(), n * out.local_ncols());  // C is dense
+      EXPECT_GE(plan.bytes_resident(),
+                sizeof(index_t) * static_cast<std::uint64_t>(out.local_nnz()));
+    }
+    EXPECT_EQ(cache.stats().hits, 1u);
+  });
+}
 
 TEST(PlanCacheLru, EvictionOrderAndForcedRebuild) {
   std::vector<CscMatrix<double>> tenants;

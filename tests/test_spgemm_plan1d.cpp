@@ -7,7 +7,10 @@
 // structure changes, including pattern changes that preserve nzc/nnz.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "apps/amg.hpp"
@@ -149,6 +152,68 @@ TEST(SpgemmPlan1d, AmgStyleGalerkinReuse) {
       EXPECT_TRUE(fresh_rtar[static_cast<std::size_t>(r2)][static_cast<std::size_t>(t)] ==
                   reused_rtar[static_cast<std::size_t>(r2)][static_cast<std::size_t>(t)])
           << "rank " << r2 << " iter " << t;
+}
+
+/// Same pattern as `base`, value i = f(i).
+template <typename F>
+CscMatrix<double> with_value_fn(const CscMatrix<double>& base, F&& f) {
+  std::vector<double> vals(base.vals().size());
+  for (std::size_t i = 0; i < vals.size(); ++i) vals[i] = f(i);
+  return CscMatrix<double>(base.nrows(), base.ncols(), base.colptr(), base.rowids(),
+                           std::move(vals));
+}
+
+bool same_bits(const CscMatrix<double>& x, const CscMatrix<double>& y) {
+  return x.colptr() == y.colptr() && x.rowids() == y.rowids() &&
+         std::memcmp(x.vals().data(), y.vals().data(), x.vals().size() * sizeof(double)) == 0;
+}
+
+/// One plan replayed twice over (A, B) with one pattern: ordinary values,
+/// then A values 0 or NaN times B values −1 or NaN, so every product is
+/// −0.0 or NaN in columns the first call filled with positive sums. Both
+/// results must equal a fresh spgemm_local bit for bit: the numeric pass
+/// seeds (or first-touches) every row anew and never reads the previous
+/// call's accumulator.
+template <typename SR>
+void expect_replay_reseeds(const CscMatrix<double>& pat, int P) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const CscMatrix<double> calls[2][2] = {
+      {with_values(pat, 1), with_values(pat, 2)},
+      {with_value_fn(pat, [&](std::size_t i) { return i % 11 == 0 ? nan : 0.0; }),
+       with_value_fn(pat, [&](std::size_t i) { return i % 13 == 0 ? nan : -1.0; })}};
+  const CscMatrix<double> want[2] = {spgemm_local<SR, double>(calls[0][0], calls[0][1]),
+                                     spgemm_local<SR, double>(calls[1][0], calls[1][1])};
+  Machine m(P);
+  m.run([&](Comm& c) {
+    SpgemmPlan1D<double, SR> plan;
+    for (int t = 0; t < 2; ++t) {
+      auto da = DistMatrix1D<double>::from_global(c, calls[t][0]);
+      auto db = DistMatrix1D<double>::from_global(c, calls[t][1]);
+      if (plan.empty()) plan = SpgemmPlan1D<double, SR>(c, da, db);
+      auto got = plan.execute(c, da, db).gather(c);
+      EXPECT_TRUE(same_bits(got, want[t])) << "call " << t << " rank " << c.rank();
+    }
+    EXPECT_EQ(plan.executions(), 2);
+  });
+}
+
+TEST(SpgemmPlan1d, ReplaySeedsEveryRowAfresh) {
+  auto pat = block_clustered<double>(160, 8, 5.0, 0.5, 31);
+  // The second call's plus-times result holds both −0.0 and NaN entries, or
+  // the check would not tell a +0.0 seed or a stale accumulator apart.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto c2 = spgemm_local<PlusTimes<double>, double>(
+      with_value_fn(pat, [&](std::size_t i) { return i % 11 == 0 ? nan : 0.0; }),
+      with_value_fn(pat, [&](std::size_t i) { return i % 13 == 0 ? nan : -1.0; }));
+  std::size_t neg_zero = 0, nans = 0;
+  for (double v : c2.vals()) {
+    neg_zero += v == 0.0 && std::signbit(v) ? 1 : 0;
+    nans += std::isnan(v) ? 1 : 0;
+  }
+  ASSERT_GT(neg_zero, 0u);
+  ASSERT_GT(nans, 0u);
+  expect_replay_reseeds<PlusTimes<double>>(pat, 4);
+  expect_replay_reseeds<MinPlus<double>>(pat, 3);
 }
 
 TEST(SpgemmPlan1d, ReusedExecuteMovesOnlyValueTraffic) {

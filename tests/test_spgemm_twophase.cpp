@@ -5,6 +5,13 @@
 // must predict the numeric structure exactly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <map>
+#include <set>
+#include <vector>
+
 #include "kernels/spgemm_local.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/ops.hpp"
@@ -127,6 +134,136 @@ TEST(TwoPhaseDifferential, HypersparseLargeRowDimension) {
           << kernel_name(k) << " t=" << t;
 }
 
+/// Operand whose values come from `palette`, with the column mix of
+/// adversarial() (empty, singleton, dense, scattered) and distinct sorted
+/// rows per column. `dense_num/dense_den` is a dense column's fill rate.
+template <typename VT>
+CscMatrix<VT> palette_operand(index_t m, index_t n, std::uint64_t seed,
+                              const std::vector<VT>& palette, std::uint64_t dense_num = 2,
+                              std::uint64_t dense_den = 3) {
+  SplitMix64 g(seed);
+  std::vector<index_t> colptr{0}, rows;
+  std::vector<VT> vals;
+  std::vector<char> hit(static_cast<std::size_t>(m), 0);
+  for (index_t j = 0; j < n; ++j) {
+    std::fill(hit.begin(), hit.end(), 0);
+    switch (g.below(6)) {
+      case 0: break;
+      case 1: hit[g.below(static_cast<std::uint64_t>(m))] = 1; break;
+      case 2:
+        for (auto& h : hit) h = g.below(dense_den) < dense_num ? 1 : 0;
+        break;
+      default:
+        for (auto e = 1 + g.below(12); e > 0; --e)
+          hit[g.below(static_cast<std::uint64_t>(m))] = 1;
+    }
+    for (index_t i = 0; i < m; ++i) {
+      if (hit[static_cast<std::size_t>(i)] == 0) continue;
+      rows.push_back(i);
+      vals.push_back(palette[g.below(palette.size())]);
+    }
+    colptr.push_back(static_cast<index_t>(rows.size()));
+  }
+  return CscMatrix<VT>(m, n, std::move(colptr), std::move(rows), std::move(vals));
+}
+
+/// Map-based reference: products in (B-position, A-position) order, the
+/// first product of a row assigned, later ones ⊕-ed in.
+template <typename SR, typename VT>
+CscMatrix<VT> reference_spgemm(const CscMatrix<VT>& a, const CscMatrix<VT>& b) {
+  using T = typename SR::value_type;
+  std::vector<index_t> colptr{0}, rows;
+  std::vector<VT> vals;
+  for (index_t j = 0; j < b.ncols(); ++j) {
+    std::map<index_t, T> acc;
+    auto bks = b.col_rows(j);
+    auto bvs = b.col_vals(j);
+    for (std::size_t p = 0; p < bks.size(); ++p) {
+      auto ars = a.col_rows(bks[p]);
+      auto avs = a.col_vals(bks[p]);
+      for (std::size_t q = 0; q < ars.size(); ++q) {
+        const T prod = SR::multiply(static_cast<T>(avs[q]), static_cast<T>(bvs[p]));
+        auto [it, fresh] = acc.try_emplace(ars[q], prod);
+        if (!fresh) it->second = SR::add(it->second, prod);
+      }
+    }
+    for (const auto& [r, v] : acc) {
+      rows.push_back(r);
+      vals.push_back(static_cast<VT>(v));
+    }
+    colptr.push_back(static_cast<index_t>(rows.size()));
+  }
+  return CscMatrix<VT>(a.nrows(), b.ncols(), std::move(colptr), std::move(rows), std::move(vals));
+}
+
+/// Structure equal and every value equal bit for bit (−0.0 ≠ +0.0, NaN = NaN).
+template <typename VT>
+::testing::AssertionResult bits_equal(const CscMatrix<VT>& got, const CscMatrix<VT>& want) {
+  if (got.nrows() != want.nrows() || got.ncols() != want.ncols() ||
+      got.colptr() != want.colptr() || got.rowids() != want.rowids())
+    return ::testing::AssertionFailure() << "structure differs";
+  for (std::size_t i = 0; i < want.vals().size(); ++i)
+    if (std::memcmp(&got.vals()[i], &want.vals()[i], sizeof(VT)) != 0)
+      return ::testing::AssertionFailure()
+             << "value " << i << " differs: " << got.vals()[i] << " vs " << want.vals()[i];
+  return ::testing::AssertionSuccess();
+}
+
+template <typename SR, typename VT>
+void expect_special_values_bit_exact(const std::vector<VT>& palette) {
+  // A square shape (heap, bitmap and small-distinct dense columns) and a
+  // tall one whose scattered columns take the hash class under Hybrid.
+  struct Shape {
+    CscMatrix<VT> a, b;
+  };
+  const Shape shapes[] = {
+      {palette_operand<VT>(400, 300, 41, palette), palette_operand<VT>(300, 350, 42, palette)},
+      {palette_operand<VT>(20000, 40, 43, palette, 1, 40),
+       palette_operand<VT>(40, 60, 44, palette)},
+  };
+  for (std::size_t s = 0; s < std::size(shapes); ++s) {
+    const auto& [a, b] = shapes[s];
+    ASSERT_GT(total_flops(a, b), 2 * (index_t{1} << 14)) << "shape " << s;
+    const auto ref = reference_spgemm<SR, VT>(a, b);
+    for (auto k : kAllKernels)
+      for (int t : {1, 3})
+        EXPECT_TRUE(bits_equal((spgemm_local<SR, VT>(a, b, k, t)), ref))
+            << kernel_name(k) << " t=" << t << " shape " << s;
+  }
+}
+
+/// Values whose products include −0.0 first products (−1 · 0), ±inf,
+/// inf + (−inf) and quiet NaN. The NaN is computed, so every NaN in play
+/// carries the platform's default bits and ⊕ operand order cannot change a
+/// payload.
+std::vector<double> special_doubles() {
+  const double inf = std::numeric_limits<double>::infinity();
+  volatile double vinf = inf;
+  const double nan = vinf - vinf;
+  return {1.0, -1.0, 0.0, -0.0, 0.5, -0.5, 2.0, -1.0, 0.0, -0.0, 1e300, inf, -inf, nan};
+}
+
+TEST(TwoPhaseSpecialValues, PlusTimesDoubleMatchesReferenceBits) {
+  expect_special_values_bit_exact<PlusTimes<double>, double>(special_doubles());
+}
+
+TEST(TwoPhaseSpecialValues, PlusTimesInt64MatchesReference) {
+  expect_special_values_bit_exact<PlusTimes<std::int64_t>, std::int64_t>(
+      {0, 1, -1, 2, -3, 5, 0, -2});
+}
+
+TEST(TwoPhaseSpecialValues, OrAndMatchesReference) {
+  expect_special_values_bit_exact<OrAnd, double>(special_doubles());
+}
+
+TEST(TwoPhaseSpecialValues, MinPlusMatchesReferenceBits) {
+  expect_special_values_bit_exact<MinPlus<double>, double>(special_doubles());
+}
+
+TEST(TwoPhaseSpecialValues, PlusSelect2ndMatchesReferenceBits) {
+  expect_special_values_bit_exact<PlusSelect2nd<double>, double>(special_doubles());
+}
+
 TEST(TwoPhaseSymbolic, NnzPredictionMatchesNumericExactly) {
   for (std::uint64_t seed : {21u, 22u, 23u}) {
     auto a = adversarial(120, 90, seed);
@@ -142,6 +279,24 @@ TEST(TwoPhaseSymbolic, NnzPredictionMatchesNumericExactly) {
         total += predicted[static_cast<std::size_t>(j)];
       }
       EXPECT_EQ(c.nnz(), total);
+      // The symbolic pass emits C's rows: per column, exactly the distinct
+      // A rows the column's lists select, ascending.
+      for (int t : {1, 3}) {
+        const auto sym = spgemm_local_symbolic<PlusTimes<double>, double>(a, b, k, t);
+        ASSERT_EQ(sym.colptr, c.colptr()) << kernel_name(k) << " t=" << t;
+        ASSERT_EQ(sym.rowids.size(), static_cast<std::size_t>(total));
+        for (index_t j = 0; j < b.ncols(); ++j) {
+          std::set<index_t> want;
+          for (auto kk : b.col_rows(j))
+            for (auto r : a.col_rows(kk)) want.insert(r);
+          const auto lo = static_cast<std::size_t>(sym.colptr[static_cast<std::size_t>(j)]);
+          const auto hi = static_cast<std::size_t>(sym.colptr[static_cast<std::size_t>(j) + 1]);
+          EXPECT_EQ(std::vector<index_t>(sym.rowids.begin() + static_cast<std::ptrdiff_t>(lo),
+                                         sym.rowids.begin() + static_cast<std::ptrdiff_t>(hi)),
+                    std::vector<index_t>(want.begin(), want.end()))
+              << "col " << j << " kernel " << kernel_name(k) << " t=" << t;
+        }
+      }
     }
   }
 }
