@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -100,8 +101,8 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
   rep.mem_charge(circ.size(), circ.size() * tb);
 
   if (plan != nullptr) plan->hops.assign(static_cast<std::size_t>(P), {});
-  CooMatrix<VT> acc(a.nrows(), b.local_ncols());
-  StreamingTripleMerge<VT> smerge;
+  constexpr std::uint64_t eb = sizeof(index_t) + sizeof(VT);  // one stored partial of C
+  CscMatrix<VT> acc(a.nrows(), b.local_ncols());
   const auto& bl = b.local();
   const int succ = (me + 1) % P, pred = (me - 1 + P) % P;
   for (int step = 0; step < P; ++step) {
@@ -118,6 +119,10 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
     }
     std::vector<index_t> gcol_ids;
     std::vector<std::size_t> starts;
+    // The hop's products, CSC-shaped over C's local columns; rows repeat
+    // and come out of order within a column.
+    std::vector<index_t> colptr(static_cast<std::size_t>(b.local_ncols()) + 1, 0), rows;
+    std::vector<VT> vals;
     {
       auto ph = comm.phase(Phase::Comp);
       // Group the circulating slice into columns (triples are column-major).
@@ -129,20 +134,24 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
       }
       starts.push_back(cs.size());
       // C_i += A_slice · B_i restricted to B rows matching the slice columns.
-      const std::size_t pre = acc.triples().size();
       for (index_t j = 0; j < bl.nzc(); ++j) {
         auto brows = bl.col_rows_at(j);
         auto bvals = bl.col_vals_at(j);
+        const std::size_t pre = rows.size();
         for (std::size_t p = 0; p < brows.size(); ++p) {
           auto it = std::lower_bound(gcol_ids.begin(), gcol_ids.end(), brows[p]);
           if (it == gcol_ids.end() || *it != brows[p]) continue;
           auto kpos = static_cast<std::size_t>(it - gcol_ids.begin());
-          for (std::size_t q = starts[kpos]; q < starts[kpos + 1]; ++q)
-            acc.push(cs[q].row, bl.col_id(j), SR::multiply(cs[q].val, bvals[p]));
+          for (std::size_t q = starts[kpos]; q < starts[kpos + 1]; ++q) {
+            rows.push_back(cs[q].row);
+            vals.push_back(SR::multiply(cs[q].val, bvals[p]));
+          }
         }
+        colptr[static_cast<std::size_t>(bl.col_id(j)) + 1] =
+            static_cast<index_t>(rows.size() - pre);
       }
-      const std::uint64_t grew = acc.triples().size() - pre;
-      rep.mem_charge(grew, grew * tb);
+      std::partial_sum(colptr.begin(), colptr.end(), colptr.begin());
+      rep.mem_charge(rows.size(), rows.size() * eb);
     }
     if (plan != nullptr) {
       // Structural capture — work a replay skips, accounted like the
@@ -155,21 +164,19 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
       hop.starts = std::move(starts);
     }
     {
-      // Streaming per-hop merge: collapse the accumulator after every hop
-      // instead of caching every hop's partials until a terminal merge. The
-      // hop's pushes are column-sorted with rows out of order, so only they
-      // are sorted (column by column) before one linear merge into the
-      // canonical accumulator — bit-identical, and the composed fold
-      // program equals the terminal capture (see StreamingTripleMerge in
-      // sparse/coo.hpp).
+      // Per-hop fold: the accumulator collapses after every hop instead of
+      // holding every hop's products until a terminal merge. Each column's
+      // products are stable-sorted by row and merged with the accumulator's
+      // column in one pass, so each key folds in hop order, then push order.
       auto ph = comm.phase(plan != nullptr ? Phase::Plan : Phase::Other);
-      const std::uint64_t before = acc.triples().size();
-      rep.mem_charge(before, before * tb);  // merge out-buffer transient
-      smerge.round(acc.triples(), [](VT x, VT y) { return SR::add(x, y); },
-                   plan != nullptr ? &plan->acc_dst : nullptr,
-                   plan != nullptr ? &plan->acc_first : nullptr);
-      const std::uint64_t after = acc.triples().size();
-      rep.mem_release(2 * before - after, (2 * before - after) * tb);
+      const std::uint64_t n = static_cast<std::uint64_t>(acc.nnz());
+      const std::uint64_t r = rows.size();
+      rep.mem_charge(n + r, (n + r) * eb);  // the fold's output
+      fold_column_run(acc, colptr, rows, vals, [](VT x, VT y) { return SR::add(x, y); },
+                      plan != nullptr ? &plan->acc_dst : nullptr,
+                      plan != nullptr ? &plan->acc_first : nullptr);
+      const std::uint64_t gone = 2 * (n + r) - static_cast<std::uint64_t>(acc.nnz());
+      rep.mem_release(gone, gone * eb);
     }
     if (shift.has_value()) {
       const std::uint64_t outgoing = cs.size();
@@ -184,18 +191,19 @@ DistMatrix1D<VT> spgemm_naive_ring_1d(
 
   DcscMatrix<VT> c_local;
   {
-    // The per-hop rounds leave `acc` already merged; a capturing build
-    // charged each round + program capture to Plan, like the SUMMA/3D
+    // The per-hop folds leave `acc` already merged; a capturing build
+    // charged each fold + program capture to Plan, like the SUMMA/3D
     // captures, so the breakdown is comparable per backend.
     auto ph = comm.phase(plan != nullptr ? Phase::Plan : Phase::Other);
-    c_local = DcscMatrix<VT>::from_coo(acc);
+    c_local = DcscMatrix<VT>::from_csc(acc);
     if (plan != nullptr) {
-      plan->acc_nnz = acc.triples().size();
+      plan->acc_nnz = static_cast<std::size_t>(acc.nnz());
       plan->c_shell = c_local;
     }
   }
   // The merged accumulator dies with this frame; c_local is the output.
-  rep.mem_release(acc.triples().size(), acc.triples().size() * tb);
+  rep.mem_release(static_cast<std::uint64_t>(acc.nnz()),
+                  static_cast<std::uint64_t>(acc.nnz()) * eb);
   return DistMatrix1D<VT>(a.nrows(), b.ncols(), b.bounds(), me, std::move(c_local));
 }
 

@@ -6,11 +6,14 @@
 //
 // Both primitives are *routes*: which nonzero goes to which rank, and where
 // it lands in the receiver's block, depends only on the operands' sparsity
-// structure. Passing a GridRoute/ScatterRoute capture pointer records the
-// value-gather maps and the receiver-side placement/merge program while the
-// fresh call runs; spgemm_grid_replay (dist/summa2d.hpp) then re-executes
-// the same exchanges moving only values (sizeof(VT) per element instead of
-// a full Triple), bit-identical to the fresh result.
+// structure. Operands route in as triples; partial C routes out as CSC
+// column slices (a row and a value per nonzero) that fold into the
+// receiver's CSC accumulator with fold_column_run (sparse/csc.hpp).
+// Passing a GridRoute/ScatterRoute capture pointer records the value-gather
+// maps and the receiver-side placement/fold program while the fresh call
+// runs; spgemm_grid_replay (dist/summa2d.hpp) then re-executes the same
+// exchanges moving only values (sizeof(VT) per element), bit-identical to
+// the fresh result.
 #pragma once
 
 #include <algorithm>
@@ -22,12 +25,9 @@
 
 #include "dist/dist_matrix.hpp"
 #include "runtime/machine.hpp"
-#include "sparse/coo.hpp"
+#include "sparse/csc.hpp"
 
 namespace sa1d {
-
-// The deterministic partial-C fold (StreamingTripleMerge, one linear merge
-// per arriving chunk) lives in sparse/coo.hpp next to the triple type.
 
 /// Resolves and validates the q_r × q_c process grid for P ranks: auto
 /// shape when both overrides are 0 (nearest-square factorization — always
@@ -180,7 +180,7 @@ CscMatrix<VT> redistribute_1d_to_2d_grid(Comm& comm, const DistMatrix1D<VT>& m,
 }
 
 /// Cached partial-C→1D scatter/merge program: the structural half of one
-/// redistribute_coo_to_1d call (which partial goes to which rank, and which
+/// redistribute_csc_to_1d call (which partial goes to which rank, and which
 /// slot of the merged 1D slice it ⊕-folds into), captured while the fresh
 /// exchange runs. spgemm_grid_replay re-executes it moving only values.
 template <typename VT>
@@ -214,90 +214,113 @@ struct ScatterRoute {
   }
 };
 
-/// Scatters per-rank partial products (canonical COO, global coordinates)
-/// into the 1D column distribution given by `out_bounds`, merging
-/// duplicates — partials of the same entry from different SUMMA stages or
-/// 3D layers — with the semiring's ⊕ (deterministically: ties fold in
-/// arrival order, so a captured program replays bit-exactly). One
+/// One element of a partial-C column-slice chunk: a partial's global row
+/// and value, or — when `row` is negative — the start of the receiver-local
+/// column -1 - row, whose partials follow in ascending row order.
+template <typename VT>
+struct ColumnEntry {
+  index_t row;
+  VT val;
+};
+
+/// Scatters this rank's partial products — the CSC block `part`, whose entry
+/// (i, j) is C's (row_base + i, col_base + j) — into the 1D column
+/// distribution given by `out_bounds`, folding partials of the same entry
+/// (from different Split-3D layers) with the semiring's ⊕. Each destination
+/// receives one column slice of the block; arriving slices fold into a CSC
+/// accumulator in ascending source order through fold_column_run, so ties
+/// fold in arrival order and a captured program replays bit-exactly. One
 /// all-to-all by column owner; the result is born distributed (no global
 /// gather). Collective. `route` (optional) captures the value-only replay
 /// program.
 template <typename SR, typename VT>
-DistMatrix1D<VT> redistribute_coo_to_1d(Comm& comm, const CooMatrix<VT>& part, index_t nrows,
-                                        index_t ncols, std::vector<index_t> out_bounds,
+DistMatrix1D<VT> redistribute_csc_to_1d(Comm& comm, const CscMatrix<VT>& part, index_t row_base,
+                                        index_t col_base, index_t nrows, index_t ncols,
+                                        std::vector<index_t> out_bounds,
                                         ScatterRoute<VT>* route = nullptr) {
   const int P = comm.size();
   require(out_bounds.size() == static_cast<std::size_t>(P) + 1,
-          "redistribute_coo_to_1d: out_bounds size must be P+1");
-  require(part.is_canonical(), "redistribute_coo_to_1d: the partial must be canonical");
-  std::vector<std::vector<Triple<VT>>> send(static_cast<std::size_t>(P));
+          "redistribute_csc_to_1d: out_bounds size must be P+1");
+  std::vector<std::vector<ColumnEntry<VT>>> send(static_cast<std::size_t>(P));
   {
-    // The partial is column-major, so each destination's triples are one
-    // contiguous column slice, and every chunk is canonical.
+    // Destination d owns a contiguous column range, so its partials are one
+    // column slice of the block: a column marker per nonempty column, then
+    // that column's (global row, value) pairs.
     auto ph = comm.phase(Phase::Other);
     if (route != nullptr) route->send_src.assign(static_cast<std::size_t>(P), {});
-    const auto& pt = part.triples();
-    auto col_lb = [&](index_t c) {
-      return static_cast<std::size_t>(
-          std::lower_bound(pt.begin(), pt.end(), c,
-                           [](const Triple<VT>& t, index_t v) { return t.col < v; }) -
-          pt.begin());
-    };
-    std::size_t hi = col_lb(out_bounds[0]);
+    const auto& cp = part.colptr();
+    auto local_col = [&](index_t c) { return std::clamp(c - col_base, index_t{0}, part.ncols()); };
     for (std::size_t d = 0; d < static_cast<std::size_t>(P); ++d) {
-      const std::size_t lo = hi;
-      hi = col_lb(out_bounds[d + 1]);
-      send[d].assign(pt.begin() + static_cast<std::ptrdiff_t>(lo),
-                     pt.begin() + static_cast<std::ptrdiff_t>(hi));
+      const index_t jlo = local_col(out_bounds[d]);
+      const index_t jhi = local_col(out_bounds[d + 1]);
+      const index_t lo = cp[static_cast<std::size_t>(jlo)];
+      const index_t hi = cp[static_cast<std::size_t>(jhi)];
+      auto& chunk = send[d];
+      chunk.reserve(static_cast<std::size_t>(hi - lo + jhi - jlo));
+      for (index_t j = jlo; j < jhi; ++j) {
+        auto rows = part.col_rows(j);
+        if (rows.empty()) continue;
+        auto vals = part.col_vals(j);
+        chunk.push_back({-1 - (col_base + j - out_bounds[d]), VT{}});
+        for (std::size_t p = 0; p < rows.size(); ++p)
+          chunk.push_back({rows[p] + row_base, vals[p]});
+      }
       if (route != nullptr) {
-        route->send_src[d].resize(hi - lo);
-        std::iota(route->send_src[d].begin(), route->send_src[d].end(),
-                  static_cast<index_t>(lo));
+        route->send_src[d].resize(static_cast<std::size_t>(hi - lo));
+        std::iota(route->send_src[d].begin(), route->send_src[d].end(), lo);
       }
     }
   }
   const index_t lo = out_bounds[static_cast<std::size_t>(comm.rank())];
   const index_t hi = out_bounds[static_cast<std::size_t>(comm.rank()) + 1];
-  CooMatrix<VT> local(nrows, hi - lo);
+  CscMatrix<VT> acc(nrows, hi - lo);
   std::vector<index_t> dst;
   std::vector<std::uint8_t> first;
   std::vector<index_t> counts(static_cast<std::size_t>(P), 0);
-  StreamingTripleMerge<VT> smerge;
   auto& rep = comm.report();
-  constexpr std::uint64_t tb = sizeof(Triple<VT>);
-  auto add = [](typename SR::value_type x, typename SR::value_type y) { return SR::add(x, y); };
-  // Streaming rounds-merge: every source's chunk is a canonical slice, so
-  // each arrival folds into the canonical accumulator with one linear
-  // two-way merge, and the footprint never exceeds (merged C slice + one
-  // chunk + that round's merge output). Bit-identical to a terminal stable
-  // merge: the per-key fold is the left fold in flat (rank-major) arrival
-  // order regardless of where the round boundaries fall.
-  auto fold_chunk = [&](int p, std::vector<Triple<VT>>& chunk) {
-    counts[static_cast<std::size_t>(p)] = static_cast<index_t>(chunk.size());
-    auto ph_push = comm.phase(Phase::Other);
-    rep.mem_charge(chunk.size(), chunk.size() * tb);  // accumulator growth
-    local.triples().reserve(local.triples().size() + chunk.size());
-    for (auto& t : chunk) local.push(t.row, t.col - lo, t.val);
-    const std::uint64_t before = local.triples().size();
-    rep.mem_charge(before, before * tb);  // merge output buffer
-    smerge.round(local.triples(), add, route != nullptr ? &dst : nullptr,
-                 route != nullptr ? &first : nullptr);
-    const std::uint64_t after = local.triples().size();
-    rep.mem_release(2 * before - after, (2 * before - after) * tb);
-  };
-  // Pipelined fold: each chunk is pushed and merged as it arrives, in
-  // ascending rank order; later chunks' modeled transfer time hides behind
-  // earlier chunks' fold work, and only one chunk is ever staged.
+  constexpr std::uint64_t eb = sizeof(index_t) + sizeof(VT);  // one stored partial of C
+  // Pipelined fold: each chunk is decoded into a run over the accumulator's
+  // columns and folded as it arrives, in ascending rank order; later
+  // chunks' modeled transfer time hides behind earlier chunks' fold work,
+  // and the footprint never exceeds (merged C slice + one staged chunk +
+  // its run + that fold's output). The per-key fold is the left fold in
+  // flat (rank-major) arrival order, the order the captured program
+  // replays.
   auto req = comm.ialltoallv(std::move(send));
+  std::vector<index_t> colptr;
+  std::vector<index_t> rows;
+  std::vector<VT> vals;
   for (int p = 0; p < P; ++p) {
-    auto chunk = req.take_from(p);
-    rep.mem_charge(chunk.size(), chunk.size() * tb);  // arrival staging
-    fold_chunk(p, chunk);
-    rep.mem_release(chunk.size(), chunk.size() * tb);
+    const auto chunk = req.take_from(p);
+    auto ph = comm.phase(Phase::Other);
+    colptr.assign(static_cast<std::size_t>(hi - lo) + 1, 0);
+    rows.clear();
+    vals.clear();
+    std::size_t col = 0;
+    for (const auto& e : chunk) {
+      if (e.row < 0) {
+        col = static_cast<std::size_t>(-1 - e.row);
+        continue;
+      }
+      ++colptr[col + 1];
+      rows.push_back(e.row);
+      vals.push_back(e.val);
+    }
+    std::partial_sum(colptr.begin(), colptr.end(), colptr.begin());
+    const std::uint64_t n = static_cast<std::uint64_t>(acc.nnz());
+    const std::uint64_t r = rows.size();
+    counts[static_cast<std::size_t>(p)] = static_cast<index_t>(r);
+    // The staged chunk, its run, and the fold's output.
+    rep.mem_charge(r + r + n + r, (r + r + n + r) * eb);
+    fold_column_run(acc, colptr, rows, vals, [](VT x, VT y) { return SR::add(x, y); },
+                    route != nullptr ? &dst : nullptr, route != nullptr ? &first : nullptr);
+    const std::uint64_t gone = r + 2 * (n + r) - static_cast<std::uint64_t>(acc.nnz());
+    rep.mem_release(gone, gone * eb);
   }
   auto ph = comm.phase(Phase::Other);
-  auto c_local = DcscMatrix<VT>::from_coo(local);
-  rep.mem_release(local.triples().size(), local.triples().size() * tb);
+  auto c_local = DcscMatrix<VT>::from_csc(acc);
+  const auto held = static_cast<std::uint64_t>(acc.nnz());
+  rep.mem_release(held, held * eb);
   if (route != nullptr) {
     auto ph_plan = comm.phase(Phase::Plan);
     route->recv_counts = std::move(counts);

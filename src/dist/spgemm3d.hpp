@@ -93,26 +93,26 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
                                          layer * grid.rows + gi, gj,
                                          plan != nullptr ? &plan->route_b : nullptr);
 
-  // Each layer's q_r × q_c grid runs SUMMA on its inner slice; partials
-  // land in `acc` with global coordinates, and the final scatter merges
-  // across both stages and layers with ⊕.
+  // Each layer's q_r × q_c grid runs SUMMA on its inner slice into a CSC
+  // block over (rb[gi], cb[gj]); the final scatter folds the layers' blocks
+  // of the same (gi, gj) with ⊕.
   Comm layer_comm = comm.split(layer, comm.rank());
-  CooMatrix<VT> acc(a.nrows(), b.ncols());
-  summadetail::summa_stages<SR>(
+  auto acc = summadetail::summa_stages<SR>(
       layer_comm, grid, my_a, my_b, std::span<const index_t>(rb),
       std::span<const index_t>(kb_layer[static_cast<std::size_t>(layer)]),
-      std::span<const index_t>(cb), kernel, threads, acc,
-      plan != nullptr ? &plan->sched : nullptr, budgeted);
-  // Pipelined cross-layer "split" reduction: the scatter's ⊕-fold consumes
-  // each layer's partial-C chunk as it arrives (streaming rounds-merge in
-  // redistribute_coo_to_1d), so the cross-layer merge never holds all
-  // arrivals plus the merged copy at once.
-  auto c = redistribute_coo_to_1d<SR>(comm, acc, a.nrows(), b.ncols(), b.bounds(),
-                                      plan != nullptr ? &plan->out : nullptr);
+      std::span<const index_t>(cb), kernel, threads, plan != nullptr ? &plan->sched : nullptr,
+      budgeted);
+  // Pipelined cross-layer "split" reduction: the scatter folds each
+  // layer's partial-C chunk as it arrives, in ascending source (= layer)
+  // order, so the cross-layer merge never holds all arrivals plus the
+  // merged copy at once.
+  auto c = redistribute_csc_to_1d<SR>(comm, acc, rb[static_cast<std::size_t>(gi)],
+                                      cb[static_cast<std::size_t>(gj)], a.nrows(), b.ncols(),
+                                      b.bounds(), plan != nullptr ? &plan->out : nullptr);
   // This layer's merged partials (charged stage by stage in summa_stages)
-  // die here: the scatter has folded them into C's canonical distribution.
-  comm.report().mem_release(acc.triples().size(),
-                            acc.triples().size() * sizeof(Triple<VT>));
+  // die here: the scatter has folded them into C's distribution.
+  const auto held = static_cast<std::uint64_t>(acc.nnz());
+  comm.report().mem_release(held, held * (sizeof(index_t) + sizeof(VT)));
   return c;
 }
 

@@ -9,14 +9,16 @@
 // whole-block stages.
 //
 // The primary entry point is 1D-in/1D-out: operands arrive in the library's
-// canonical column distribution, are scattered onto the grid by one
-// all-to-all (dist/redistribute.hpp), and the per-stage partials are
-// scattered back into B's column distribution with a semiring-⊕ merge — no
-// global gather anywhere, and every byte moves through Phase-scoped,
-// instrumented collectives so the RankReport breakdown is comparable with
-// the other spgemm_dist backends. A captured GridPlan replays the whole
-// multiply moving values only (spgemm_grid_replay), for one plan or a fused
-// group of them.
+// canonical column distribution and are scattered onto the grid by one
+// all-to-all (dist/redistribute.hpp). Each rank keeps its partial C(i,j) as
+// one CSC block over its fixed column block: every stage's local product
+// folds in column by column (fold_column_run, sparse/csc.hpp), and the
+// merged block is scattered back into B's column distribution as column
+// slices — no triples on C's path, no global gather anywhere, and every
+// byte moves through Phase-scoped, instrumented collectives so the
+// RankReport breakdown is comparable with the other spgemm_dist backends.
+// A captured GridPlan replays the whole multiply moving values only
+// (spgemm_grid_replay), for one plan or a fused group of them.
 #pragma once
 
 #include <algorithm>
@@ -146,25 +148,27 @@ void pipeline_stages(Comm& comm, Comm& row_comm, Comm& col_comm, int s, int spc,
 }
 
 /// The SUMMA stage loop over one q_r × q_c grid (`grid.rows · grid.cols ==
-/// comm.size()`): accumulates this rank's partial C(gi, gj) into `acc` in
-/// *global* coordinates (rb/cb are global bounds). `kb` is the grid's
-/// *fine* inner split into `grid.stages = lcm(q_r, q_c)` blocks (local to
-/// this grid's inner range): grid column j owns A's fine blocks
+/// comm.size()`): returns this rank's partial C(gi, gj) as a CSC block over
+/// row block rb[gi] and column block cb[gj], in block-local coordinates
+/// (rb/cb are global bounds). `kb` is the grid's *fine* inner split into
+/// `grid.stages = lcm(q_r, q_c)` blocks (local to this grid's inner range):
+/// grid column j owns A's fine blocks
 /// [j·s/q_c, (j+1)·s/q_c) and grid row i owns B's fine blocks
 /// [i·s/q_r, (i+1)·s/q_r), both contiguous, so each stage's roots extract
 /// one sub-block of their piece and broadcast it along their row/column
 /// team. `comm` is the grid communicator (a layer of the 3D backend, or
-/// everything for 2D). Stage partials of the same entry are merged with ⊕
-/// before `acc` is handed back, so the caller ships post-merge volume. The
-/// merge is deterministic (ties fold in stage order), so a schedule
-/// captured via `sched` replays bit-exactly. `budgeted` bounds the stage
-/// window (pipeline_stages).
+/// everything for 2D). Each stage's block folds into the accumulator as it
+/// is computed (fold_column_run), so the caller ships post-merge volume. The
+/// fold is deterministic (ties fold in stage order), so a schedule captured
+/// via `sched` replays bit-exactly. `budgeted` bounds the stage window
+/// (pipeline_stages). The returned block stays charged to the transient
+/// gauge; the caller releases it once scattered.
 template <typename SR, typename VT>
-void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
-                  const CscMatrix<VT>& my_b, std::span<const index_t> rb,
-                  std::span<const index_t> kb, std::span<const index_t> cb, LocalKernel kernel,
-                  int threads, CooMatrix<VT>& acc, SummaSched<VT, SR>* sched = nullptr,
-                  bool budgeted = false) {
+CscMatrix<VT> summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
+                           const CscMatrix<VT>& my_b, std::span<const index_t> rb,
+                           std::span<const index_t> kb, std::span<const index_t> cb,
+                           LocalKernel kernel, int threads, SummaSched<VT, SR>* sched = nullptr,
+                           bool budgeted = false) {
   const int s = grid.stages;
   const int spc = s / grid.cols;  // fine blocks per grid column (A ownership)
   const int spr = s / grid.rows;  // fine blocks per grid row (B ownership)
@@ -173,8 +177,6 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   Comm row_comm = comm.split(gi, gj);  // sub-rank within a row == grid column
   Comm col_comm = comm.split(gj, gi);  // sub-rank within a column == grid row
 
-  const index_t rlo = rb[static_cast<std::size_t>(gi)];
-  const index_t clo = cb[static_cast<std::size_t>(gj)];
   const index_t a_clo = kb[static_cast<std::size_t>(gj * spc)];  // my A piece's inner base
   const index_t b_rlo = kb[static_cast<std::size_t>(gi * spr)];  // my B piece's inner base
   if (sched != nullptr) {
@@ -184,7 +186,9 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
 
   auto& rep = comm.report();
   constexpr std::uint64_t tb = sizeof(Triple<VT>);
-  StreamingTripleMerge<VT> smerge;
+  constexpr std::uint64_t eb = sizeof(index_t) + sizeof(VT);  // one stored partial of C
+  CscMatrix<VT> acc(rb[static_cast<std::size_t>(gi) + 1] - rb[static_cast<std::size_t>(gi)],
+                    cb[static_cast<std::size_t>(gj) + 1] - cb[static_cast<std::size_t>(gj)]);
   // Per-stage root-side value sources, recorded by extract for the capture.
   std::vector<index_t> a_los(static_cast<std::size_t>(s), 0);
   std::vector<index_t> a_his(static_cast<std::size_t>(s), 0);
@@ -231,7 +235,7 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   };
 
   // Everything after the broadcast of stage k — block rebuild, local
-  // multiply, partial-C accumulation.
+  // multiply, partial-C fold.
   auto run_stage = [&](int k, std::vector<Triple<VT>> abuf, std::vector<Triple<VT>> bbuf) {
     const auto sk = static_cast<std::size_t>(k);
     const index_t klo = kb[static_cast<std::size_t>(k)], khi = kb[static_cast<std::size_t>(k) + 1];
@@ -281,33 +285,19 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
       c_blk = spgemm_local<SR, VT>(a_blk, b_blk, kernel, threads);
     }
     {
-      auto ph = comm.phase(Phase::Other);
-      const std::size_t pre = acc.triples().size();
-      acc.triples().reserve(pre + static_cast<std::size_t>(c_blk.nnz()));
-      for (index_t j = 0; j < c_blk.ncols(); ++j) {
-        auto rows = c_blk.col_rows(j);
-        auto vals = c_blk.col_vals(j);
-        for (std::size_t p = 0; p < rows.size(); ++p)
-          acc.push(rows[p] + rlo, j + clo, vals[p]);
-      }
-      const std::uint64_t grew = acc.triples().size() - pre;
-      rep.mem_charge(grew, grew * tb);
-    }
-    {
-      // Streaming per-stage merge: the stage's c_blk arrives in canonical
-      // order, so the round is one linear two-way merge into the canonical
-      // accumulator, bounding the resident footprint at (merged so far +
-      // one stage's pushes). Bit-identical to a terminal stable merge, and
-      // the composed fold program equals its capture — see
-      // StreamingTripleMerge in sparse/coo.hpp.
+      // Per-stage fold: c_blk shares the accumulator's block, so it folds
+      // in column by column, bounding the resident footprint at (merged so
+      // far + one stage's block + the fold's output).
       auto ph = comm.phase(sched != nullptr ? Phase::Plan : Phase::Other);
-      const std::uint64_t before = acc.triples().size();
-      rep.mem_charge(before, before * tb);  // merge out-buffer transient
-      smerge.round(acc.triples(), [](VT x, VT y) { return SR::add(x, y); },
-                   sched != nullptr ? &sched->acc_dst : nullptr,
-                   sched != nullptr ? &sched->acc_first : nullptr);
-      const std::uint64_t after = acc.triples().size();
-      rep.mem_release(2 * before - after, (2 * before - after) * tb);
+      const std::uint64_t n = static_cast<std::uint64_t>(acc.nnz());
+      const std::uint64_t r = static_cast<std::uint64_t>(c_blk.nnz());
+      rep.mem_charge(r + n + r, (r + n + r) * eb);  // the stage's block + the fold's output
+      fold_column_run(acc, c_blk.colptr(), c_blk.rowids(), c_blk.vals(),
+                      [](VT x, VT y) { return SR::add(x, y); },
+                      sched != nullptr ? &sched->acc_dst : nullptr,
+                      sched != nullptr ? &sched->acc_first : nullptr);
+      const std::uint64_t gone = 2 * (n + r) - static_cast<std::uint64_t>(acc.nnz());
+      rep.mem_release(gone, gone * eb);
     }
   };
 
@@ -315,12 +305,11 @@ void summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
   // column gj.
   pipeline_stages<Triple<VT>>(comm, row_comm, col_comm, s, spc, spr, budgeted, extract,
                               run_stage);
-  // The per-stage streaming rounds leave `acc` canonical — the scatter
-  // carries post-merge volume (what the cost model prices), not duplicates
-  // per stage, and packs each destination as one column slice — and the
-  // composed fold program equals a terminal stable-merge capture, so
-  // replays are interchangeable.
-  if (sched != nullptr) sched->acc_nnz = acc.triples().size();
+  // The scatter carries post-merge volume (what the cost model prices),
+  // not duplicates per stage, and packs each destination as one column
+  // slice of the accumulator.
+  if (sched != nullptr) sched->acc_nnz = static_cast<std::size_t>(acc.nnz());
+  return acc;
 }
 
 }  // namespace summadetail
@@ -704,17 +693,17 @@ DistMatrix1D<VT> spgemm_summa_2d_dist(
                                          std::span<const index_t>(cb), rank_of, gi, gj,
                                          plan != nullptr ? &plan->route_b : nullptr);
 
-  CooMatrix<VT> acc(a.nrows(), b.ncols());
-  summadetail::summa_stages<SR>(comm, grid, my_a, my_b, std::span<const index_t>(rb),
-                                std::span<const index_t>(kb), std::span<const index_t>(cb),
-                                kernel, threads, acc,
-                                plan != nullptr ? &plan->sched : nullptr, budgeted);
-  auto c = redistribute_coo_to_1d<SR>(comm, acc, a.nrows(), b.ncols(), b.bounds(),
-                                      plan != nullptr ? &plan->out : nullptr);
+  auto acc = summadetail::summa_stages<SR>(
+      comm, grid, my_a, my_b, std::span<const index_t>(rb), std::span<const index_t>(kb),
+      std::span<const index_t>(cb), kernel, threads, plan != nullptr ? &plan->sched : nullptr,
+      budgeted);
+  auto c = redistribute_csc_to_1d<SR>(comm, acc, rb[static_cast<std::size_t>(gi)],
+                                      cb[static_cast<std::size_t>(gj)], a.nrows(), b.ncols(),
+                                      b.bounds(), plan != nullptr ? &plan->out : nullptr);
   // The merged partial-C accumulator (charged stage by stage above) dies
-  // here: the scatter has folded it into C's canonical distribution.
-  comm.report().mem_release(acc.triples().size(),
-                            acc.triples().size() * sizeof(Triple<VT>));
+  // here: the scatter has folded it into C's distribution.
+  const auto held = static_cast<std::uint64_t>(acc.nnz());
+  comm.report().mem_release(held, held * (sizeof(index_t) + sizeof(VT)));
   return c;
 }
 

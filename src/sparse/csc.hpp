@@ -1,7 +1,11 @@
 // Compressed Sparse Column format: the workhorse local format for kernels.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -110,5 +114,102 @@ class CscMatrix {
   std::vector<index_t> rowids_;
   std::vector<VT> vals_;
 };
+
+/// Folds one run of partial entries into the accumulator `acc`, column by
+/// column: the deterministic ⊕-merge the grid and ring backends build C with
+/// (a SUMMA stage's block, a ring hop's products, an arriving scatter chunk).
+/// The run is CSC-shaped over acc's columns — `colptr` holds acc.ncols()+1
+/// offsets into `rows`/`vals` — and a column's rows may repeat and come in
+/// any order (a ring hop's); such a column is stable-sorted by row first.
+/// Each column is then one linear two-way merge. On equal rows the
+/// accumulator entry goes first, then the run's entries in run order, so
+/// every key holds the left ⊕-fold of its entries in the order they were
+/// folded in, for any ⊕. A key's first entry is assigned, never ⊕-ed onto
+/// a zero. Cost: O(nnz(acc) + ncols + run length), plus a sort of each
+/// unsorted column and, when capturing, one remap of every earlier entry.
+///
+/// `dst`/`first` (optional, but only together) hold the composed fold
+/// program over every run folded so far: entry i lands in output slot
+/// (*dst)[i], assigning when (*first)[i] and ⊕-accumulating otherwise.
+/// Earlier entries are remapped through this fold's slot movement (an
+/// accumulator entry never gains or loses an entry, so their first flags
+/// stand); this run's entries are appended in run order. Replaying the
+/// program over the entries' values reproduces acc's values bit for bit.
+template <typename VT, typename Add>
+void fold_column_run(CscMatrix<VT>& acc, std::span<const index_t> colptr,
+                     std::span<const index_t> rows,
+                     std::span<const std::type_identity_t<VT>> vals, Add add,
+                     std::vector<index_t>* dst = nullptr,
+                     std::vector<std::uint8_t>* first = nullptr) {
+  require((dst == nullptr) == (first == nullptr),
+          "fold_column_run: dst and first capture the fold program together — pass both or "
+          "neither");
+  require(colptr.size() == acc.colptr().size() && rows.size() == vals.size() &&
+              colptr.back() == static_cast<index_t>(rows.size()),
+          "fold_column_run: the run must be CSC-shaped over the accumulator's columns");
+  if (rows.empty()) return;
+  const bool capture = dst != nullptr;
+  const auto& ap = acc.colptr();
+  const auto& ar = acc.rowids();
+  const auto& av = acc.vals();
+  const std::size_t m = ar.size();
+  std::vector<index_t> cp(ap.size(), 0), out_rows;
+  std::vector<VT> out_vals;
+  out_rows.reserve(m + rows.size());
+  out_vals.reserve(m + rows.size());
+  std::vector<index_t> slot;  // accumulator entry -> output slot (capture only)
+  const std::size_t pushed = capture ? dst->size() : 0;  // entries of earlier runs
+  if (capture) {
+    slot.resize(m);
+    dst->resize(pushed + rows.size());
+    first->resize(pushed + rows.size(), 0);
+  }
+  std::vector<std::size_t> order;  // an unsorted column's run positions by (row, position)
+  for (std::size_t j = 0; j + 1 < ap.size(); ++j) {
+    auto i = static_cast<std::size_t>(ap[j]);
+    const auto ie = static_cast<std::size_t>(ap[j + 1]);
+    const auto klo = static_cast<std::size_t>(colptr[j]);
+    const auto khi = static_cast<std::size_t>(colptr[j + 1]);
+    const std::size_t col0 = out_rows.size();
+    const bool sorted = std::is_sorted(rows.begin() + static_cast<std::ptrdiff_t>(klo),
+                                       rows.begin() + static_cast<std::ptrdiff_t>(khi));
+    if (!sorted) {
+      order.resize(khi - klo);
+      std::iota(order.begin(), order.end(), klo);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::size_t x, std::size_t y) { return rows[x] < rows[y]; });
+    }
+    for (std::size_t t = klo; t < khi; ++t) {
+      const std::size_t k = sorted ? t : order[t - klo];
+      const index_t row = rows[k];
+      // Accumulator entries up to and including the run entry's row go
+      // first; they are unique, so each opens its own slot.
+      for (; i < ie && ar[i] <= row; ++i) {
+        if (capture) slot[i] = static_cast<index_t>(out_rows.size());
+        out_rows.push_back(ar[i]);
+        out_vals.push_back(av[i]);
+      }
+      if (out_rows.size() > col0 && out_rows.back() == row) {
+        out_vals.back() = add(out_vals.back(), vals[k]);
+      } else {
+        out_rows.push_back(row);
+        out_vals.push_back(vals[k]);
+        if (capture) (*first)[pushed + k] = 1;
+      }
+      if (capture) (*dst)[pushed + k] = static_cast<index_t>(out_rows.size() - 1);
+    }
+    for (; i < ie; ++i) {
+      if (capture) slot[i] = static_cast<index_t>(out_rows.size());
+      out_rows.push_back(ar[i]);
+      out_vals.push_back(av[i]);
+    }
+    cp[j + 1] = static_cast<index_t>(out_rows.size());
+  }
+  for (std::size_t q = 0; q < pushed; ++q)
+    (*dst)[q] = slot[static_cast<std::size_t>((*dst)[q])];
+  // The pre-fold arrays die here, as the callers' gauges assume.
+  acc = CscMatrix<VT>(acc.nrows(), acc.ncols(), std::move(cp), std::move(out_rows),
+                      std::move(out_vals));
+}
 
 }  // namespace sa1d

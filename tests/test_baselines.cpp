@@ -2,7 +2,14 @@
 // (Algorithm 3), naive ring 1D, 2D sparse SUMMA, Split-3D.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/outer_product.hpp"
+#include "dist/dist_plan.hpp"
 #include "dist/dist_spgemm.hpp"
 #include "sparse/generators.hpp"
 
@@ -233,6 +240,161 @@ TEST(Split3d, RectangularOperands) {
     auto got = grid_product(c, a, b, Algo::Split3D, 2);
     EXPECT_TRUE(approx_equal(got, want, 1e-9));
   });
+}
+
+// ---- Fold order ------------------------------------------------------------
+//
+// The backends fold C's partials in a fixed order (DESIGN §8), so a captured
+// program replays bit for bit. Non-integer values round differently under
+// reassociation, so these cases pin that order exactly: each result must
+// equal a serial fold in the documented order, bit for bit.
+
+/// For each C column, the fold order as layers of stage ranges [klo, khi)
+/// of the inner dimension.
+using FoldPlan = std::vector<std::vector<std::pair<index_t, index_t>>>;
+
+/// Serial C = A·B where each entry is the left fold, in layer order, of
+/// layer partials; a layer partial is the left fold, in stage order, of
+/// stage partials; a stage partial is the left fold of a_ik·b_kj over its
+/// range, k ascending. A partial that holds no product is skipped, and the
+/// first partial of a fold is taken as is.
+CscMatrix<double> serial_fold(const CscMatrix<double>& a, const CscMatrix<double>& b,
+                              const std::function<FoldPlan(index_t)>& plan_of_col) {
+  const auto n = static_cast<std::size_t>(a.nrows());
+  std::vector<double> stage(n), layer(n), total(n);
+  std::vector<char> in_stage(n), in_layer(n), in_total(n);
+  auto fold_into = [&](std::vector<double>& to, std::vector<char>& has,
+                       const std::vector<double>& from, std::vector<char>& from_has) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (from_has[i] == 0) continue;
+      to[i] = has[i] != 0 ? to[i] + from[i] : from[i];
+      has[i] = 1;
+      from_has[i] = 0;
+    }
+  };
+  std::vector<index_t> colptr{0}, rows;
+  std::vector<double> vals;
+  for (index_t j = 0; j < b.ncols(); ++j) {
+    for (const auto& stages : plan_of_col(j)) {
+      for (auto [klo, khi] : stages) {
+        auto brows = b.col_rows(j);
+        auto bvals = b.col_vals(j);
+        for (std::size_t p = 0; p < brows.size(); ++p) {
+          const index_t k = brows[p];
+          if (k < klo || k >= khi) continue;
+          auto arows = a.col_rows(k);
+          auto avals = a.col_vals(k);
+          for (std::size_t q = 0; q < arows.size(); ++q) {
+            const auto i = static_cast<std::size_t>(arows[q]);
+            const double v = avals[q] * bvals[p];
+            stage[i] = in_stage[i] != 0 ? stage[i] + v : v;
+            in_stage[i] = 1;
+          }
+        }
+        fold_into(layer, in_layer, stage, in_stage);
+      }
+      fold_into(total, in_total, layer, in_layer);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (in_total[i] == 0) continue;
+      rows.push_back(static_cast<index_t>(i));
+      vals.push_back(total[i]);
+      in_total[i] = 0;
+    }
+    colptr.push_back(static_cast<index_t>(rows.size()));
+  }
+  return CscMatrix<double>(a.nrows(), b.ncols(), std::move(colptr), std::move(rows),
+                           std::move(vals));
+}
+
+bool bit_equal(const CscMatrix<double>& got, const CscMatrix<double>& want) {
+  return got.colptr() == want.colptr() && got.rowids() == want.rowids() &&
+         std::memcmp(got.vals().data(), want.vals().data(),
+                     got.vals().size() * sizeof(double)) == 0;
+}
+
+/// The fresh call and one replay of `opt` through a cached plan, gathered.
+std::pair<CscMatrix<double>, CscMatrix<double>> fresh_and_replay(int P, const CscMatrix<double>& a,
+                                                                 const CscMatrix<double>& b,
+                                                                 const DistSpgemmOptions& opt) {
+  std::pair<CscMatrix<double>, CscMatrix<double>> out;
+  Machine m(P);
+  m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    auto db = DistMatrix1D<double>::from_global(c, b);
+    DistSpgemmPlan<double> plan;
+    auto fresh = spgemm_dist_cached(c, plan, da, db, opt).gather(c);
+    auto replay = spgemm_dist_cached(c, plan, da, db, opt).gather(c);
+    if (c.rank() == 0) out = {std::move(fresh), std::move(replay)};
+  });
+  return out;
+}
+
+/// Asserts the fresh result and one replay of `algo` equal `want` bit for
+/// bit, and that `want` is not the plain k-ascending fold (else the case
+/// pins nothing).
+void expect_fold_order(int P, Algo algo, int layers, const CscMatrix<double>& a,
+                       const CscMatrix<double>& b, const CscMatrix<double>& want) {
+  SCOPED_TRACE(std::string(algo_name(algo)) + " P=" + std::to_string(P));
+  const auto flat = serial_fold(a, b, [&](index_t) { return FoldPlan{{{0, a.ncols()}}}; });
+  EXPECT_FALSE(bit_equal(flat, want)) << "the fold order under test is the flat one";
+  DistSpgemmOptions opt;
+  opt.algo = algo;
+  opt.layers = layers;
+  auto [fresh, replay] = fresh_and_replay(P, a, b, opt);
+  EXPECT_TRUE(bit_equal(fresh, want));
+  EXPECT_TRUE(bit_equal(replay, want));
+}
+
+TEST(FoldOrder, Summa2dFoldsStagePartialsInStageOrder) {
+  auto a = random_rect(64, 60, 700, 31);
+  auto b = random_rect(60, 56, 650, 32);
+  for (int P : {4, 6}) {
+    const auto kb = even_split(a.ncols(), summa_grid_shape(P).stages);
+    FoldPlan stages(1);
+    for (std::size_t k = 0; k + 1 < kb.size(); ++k) stages[0].push_back({kb[k], kb[k + 1]});
+    auto want = serial_fold(a, b, [&](index_t) { return stages; });
+    expect_fold_order(P, Algo::Summa2D, 0, a, b, want);
+  }
+}
+
+TEST(FoldOrder, Split3dFoldsLayerPartialsInLayerOrder) {
+  auto a = random_rect(64, 60, 700, 33);
+  auto b = random_rect(60, 56, 650, 34);
+  const int P = 8, layers = 2;
+  const auto kl = even_split(a.ncols(), layers);
+  const int s = summa_grid_shape(P / layers).stages;
+  FoldPlan plan;
+  for (int l = 0; l < layers; ++l) {
+    const index_t klo = kl[static_cast<std::size_t>(l)];
+    const auto fine = even_split(kl[static_cast<std::size_t>(l) + 1] - klo, s);
+    plan.emplace_back();
+    for (std::size_t k = 0; k + 1 < fine.size(); ++k)
+      plan.back().push_back({klo + fine[k], klo + fine[k + 1]});
+  }
+  auto want = serial_fold(a, b, [&](index_t) { return plan; });
+  expect_fold_order(P, Algo::Split3D, layers, a, b, want);
+}
+
+TEST(FoldOrder, Ring1dFoldsProductsInHopOrder) {
+  auto a = random_rect(64, 60, 700, 35);
+  auto b = random_rect(60, 56, 650, 36);
+  for (int P : {3, 4}) {
+    // The rank owning C column j multiplies A's slices from itself, then
+    // its predecessors around the ring; every product folds on its own.
+    const auto ka = even_split(a.ncols(), P);
+    const auto cb = even_split(b.ncols(), P);
+    auto want = serial_fold(a, b, [&](index_t j) {
+      const int me = find_owner(std::span<const index_t>(cb), j);
+      FoldPlan plan(1);
+      for (int step = 0; step < P; ++step) {
+        const auto r = static_cast<std::size_t>((me - step + P) % P);
+        for (index_t k = ka[r]; k < ka[r + 1]; ++k) plan[0].push_back({k, k + 1});
+      }
+      return plan;
+    });
+    expect_fold_order(P, Algo::Ring1D, 0, a, b, want);
+  }
 }
 
 // ---- Cross-algorithm agreement -------------------------------------------

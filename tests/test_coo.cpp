@@ -1,14 +1,16 @@
-// Unit tests for the COO triples format.
+// Unit tests for the COO triples format and the CSC column fold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <vector>
 
-#include "sparse/coo.hpp"
+#include "sparse/csc.hpp"
 
 namespace sa1d {
 namespace {
@@ -120,132 +122,214 @@ TEST(Coo, ConstructFromTripleVector) {
 // per-key fold order changes the value.
 double fold_op(double x, double y) { return 2 * x + y; }
 
-enum class RunKind { Canonical, ColumnSorted, Unsorted };
+enum class RunKind { Canonical, ColumnGrouped };
 
-/// A run of `n` triples with columns in [clo, chi) and rows in [0, nrows):
-/// canonical (unique keys, sorted); column-sorted with rows out of order and
-/// repeated keys (a ring hop's shape); or fully unsorted with repeats.
+/// A run of `n` triples with columns in [clo, chi) and rows in [0, nrows),
+/// grouped by ascending column: canonical (unique keys, sorted — a SUMMA
+/// stage's or a scatter chunk's shape), or with rows out of order and
+/// repeated keys within a column (a ring hop's shape).
 std::vector<Triple<double>> make_run(std::mt19937& rng, RunKind kind, int n, index_t clo,
                                      index_t chi, index_t nrows) {
   std::uniform_int_distribution<index_t> col(clo, chi - 1), row(0, nrows - 1);
   std::uniform_int_distribution<int> val(1, 3);
   std::vector<Triple<double>> run;
   for (int i = 0; i < n; ++i) run.push_back({row(rng), col(rng), static_cast<double>(val(rng))});
-  auto by_key = [](const Triple<double>& a, const Triple<double>& b) {
-    return a.col != b.col ? a.col < b.col : a.row < b.row;
-  };
   if (kind == RunKind::Canonical) {
-    std::sort(run.begin(), run.end(), by_key);
+    std::sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
+      return a.col != b.col ? a.col < b.col : a.row < b.row;
+    });
     run.erase(std::unique(run.begin(), run.end(),
                           [](const auto& a, const auto& b) { return a.col == b.col && a.row == b.row; }),
               run.end());
-  } else if (kind == RunKind::ColumnSorted) {
+  } else {
     std::stable_sort(run.begin(), run.end(),
                      [](const auto& a, const auto& b) { return a.col < b.col; });
   }
   return run;
 }
 
-/// Streams `rounds` through StreamingTripleMerge (capturing and not) and
-/// asserts the merged triples, dst and first are identical to one terminal
-/// merge_triples_stable over the same pushes, and that replaying the
-/// program over the pushed values reproduces the merged values.
-void expect_streaming_equals_terminal(const std::vector<std::vector<Triple<double>>>& rounds) {
-  std::vector<Triple<double>> t, plain, all;
+constexpr index_t kCols = 30;
+
+/// A column-grouped triple run as fold_column_run's CSC-shaped arrays over
+/// kCols columns, in run order.
+struct ColumnRun {
+  std::vector<index_t> colptr = std::vector<index_t>(kCols + 1, 0), rows;
+  std::vector<double> vals;
+
+  explicit ColumnRun(const std::vector<Triple<double>>& t) {
+    for (const auto& x : t) {
+      ++colptr[static_cast<std::size_t>(x.col) + 1];
+      rows.push_back(x.row);
+      vals.push_back(x.val);
+    }
+    std::partial_sum(colptr.begin(), colptr.end(), colptr.begin());
+  }
+};
+
+/// Folds `runs` into an empty accumulator (capturing and not) and asserts
+/// the merged entries, dst and first are identical to one terminal
+/// merge_triples_stable over the runs' entries in run order, and that
+/// replaying the program over those values reproduces the merged values.
+void expect_fold_equals_terminal(const std::vector<std::vector<Triple<double>>>& runs,
+                                 index_t nrows = 8) {
+  CscMatrix<double> acc(nrows, kCols), plain(nrows, kCols);
+  std::vector<Triple<double>> all;
   std::vector<index_t> dst;
   std::vector<std::uint8_t> first;
-  StreamingTripleMerge<double> sm, sm_plain;
-  for (const auto& r : rounds) {
-    t.insert(t.end(), r.begin(), r.end());
-    plain.insert(plain.end(), r.begin(), r.end());
-    all.insert(all.end(), r.begin(), r.end());
-    sm.round(t, fold_op, &dst, &first);
-    sm_plain.round(plain, fold_op);
-    ASSERT_EQ(sm.merged(), t.size());
+  for (const auto& t : runs) {
+    const ColumnRun r(t);
+    all.insert(all.end(), t.begin(), t.end());
+    fold_column_run(acc, r.colptr, r.rows, r.vals, fold_op, &dst, &first);
+    fold_column_run(plain, r.colptr, r.rows, r.vals, fold_op);
     ASSERT_EQ(dst.size(), all.size());
-    ASSERT_TRUE(CooMatrix<double>(1 << 20, 1 << 20, t).is_canonical());
+    ASSERT_EQ(first.size(), all.size());
   }
-  const auto pushes = all;
+  const auto entries = all;
   std::vector<index_t> ref_dst;
   std::vector<std::uint8_t> ref_first;
   merge_triples_stable(all, fold_op, ref_dst, ref_first);
-  ASSERT_EQ(t.size(), all.size());
-  EXPECT_TRUE(t.empty() ||
-              std::memcmp(t.data(), all.data(), t.size() * sizeof(Triple<double>)) == 0);
-  EXPECT_EQ(plain, t);
+  const auto got = acc.to_coo().triples();
+  ASSERT_EQ(got.size(), all.size());
+  EXPECT_TRUE(got.empty() ||
+              std::memcmp(got.data(), all.data(), got.size() * sizeof(Triple<double>)) == 0);
+  EXPECT_EQ(plain, acc);
   EXPECT_EQ(dst, ref_dst);
   EXPECT_EQ(first, ref_first);
-  std::vector<double> replay(t.size(), 0.0);
-  for (std::size_t i = 0; i < pushes.size(); ++i) {
+  std::vector<double> replay(got.size(), 0.0);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
     auto& slot = replay[static_cast<std::size_t>(dst[i])];
-    slot = first[i] != 0 ? pushes[i].val : fold_op(slot, pushes[i].val);
+    slot = first[i] != 0 ? entries[i].val : fold_op(slot, entries[i].val);
   }
-  for (std::size_t k = 0; k < t.size(); ++k) EXPECT_EQ(replay[k], t[k].val);
+  EXPECT_EQ(replay, acc.vals());
 }
 
-TEST(StreamingMerge, MatchesTerminalMergeRandomized) {
+TEST(FoldColumnRun, MatchesTerminalMergeRandomized) {
   std::mt19937 rng(20240917);
-  std::uniform_int_distribution<int> nrounds(1, 8), kind(0, 2), len(0, 40), window(0, 3);
+  std::uniform_int_distribution<int> nruns(1, 8), kind(0, 1), len(0, 40), window(0, 3);
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<std::vector<Triple<double>>> rounds;
-    const int R = nrounds(rng);
+    std::vector<std::vector<Triple<double>>> runs;
+    const int R = nruns(rng);
     for (int k = 0; k < R; ++k) {
       // Column windows before, inside, after or across the base range
-      // [10, 20), so runs fall wholly before, after or inside the prefix.
+      // [10, 20), so runs fall wholly before, after or inside earlier ones.
       static constexpr index_t lo[] = {0, 10, 20, 5};
       static constexpr index_t hi[] = {10, 20, 30, 25};
       const int w = window(rng);
-      rounds.push_back(make_run(rng, static_cast<RunKind>(kind(rng)), len(rng), lo[w], hi[w], 6));
+      runs.push_back(make_run(rng, static_cast<RunKind>(kind(rng)), len(rng), lo[w], hi[w], 6));
     }
-    expect_streaming_equals_terminal(rounds);
+    expect_fold_equals_terminal(runs);
     if (HasFatalFailure()) return;
   }
 }
 
-TEST(StreamingMerge, EachRunKindAgainstAPrefix) {
+TEST(FoldColumnRun, EachRunKindAgainstAnAccumulator) {
   std::mt19937 rng(7);
-  for (auto k : {RunKind::Canonical, RunKind::ColumnSorted, RunKind::Unsorted}) {
-    const auto prefix = make_run(rng, RunKind::Unsorted, 30, 10, 20, 5);
-    // Empty prefix, then runs wholly before, wholly after and inside.
-    expect_streaming_equals_terminal({make_run(rng, k, 25, 10, 20, 5)});
-    expect_streaming_equals_terminal({prefix, make_run(rng, k, 25, 0, 10, 5)});
-    expect_streaming_equals_terminal({prefix, make_run(rng, k, 25, 20, 30, 5)});
-    expect_streaming_equals_terminal({prefix, make_run(rng, k, 25, 12, 18, 5)});
+  for (auto k : {RunKind::Canonical, RunKind::ColumnGrouped}) {
+    const auto before = make_run(rng, RunKind::ColumnGrouped, 30, 10, 20, 5);
+    // Empty accumulator, then runs wholly before, wholly after and inside.
+    expect_fold_equals_terminal({make_run(rng, k, 25, 10, 20, 5)});
+    expect_fold_equals_terminal({before, make_run(rng, k, 25, 0, 10, 5)});
+    expect_fold_equals_terminal({before, make_run(rng, k, 25, 20, 30, 5)});
+    expect_fold_equals_terminal({before, make_run(rng, k, 25, 12, 18, 5)});
   }
 }
 
-TEST(StreamingMerge, EmptyRoundsChangeNothing) {
+TEST(FoldColumnRun, EmptyRunsAndColumnsChangeNothing) {
   std::mt19937 rng(11);
-  expect_streaming_equals_terminal({});
-  expect_streaming_equals_terminal({{}, {}});
-  expect_streaming_equals_terminal({{},
-                                    make_run(rng, RunKind::ColumnSorted, 20, 0, 8, 4),
-                                    {},
-                                    make_run(rng, RunKind::Canonical, 20, 0, 8, 4),
-                                    {}});
+  expect_fold_equals_terminal({});
+  expect_fold_equals_terminal({{}, {}});
+  // Runs confined to a few columns leave every other column empty.
+  expect_fold_equals_terminal({{},
+                               make_run(rng, RunKind::ColumnGrouped, 20, 0, 3, 4),
+                               {},
+                               make_run(rng, RunKind::Canonical, 20, 27, 30, 4),
+                               {}});
+  CscMatrix<double> acc(4, kCols);
+  const ColumnRun r(make_run(rng, RunKind::Canonical, 10, 3, 9, 4));
+  fold_column_run(acc, r.colptr, r.rows, r.vals, fold_op);
+  const auto kept = acc;
+  const ColumnRun empty(std::vector<Triple<double>>{});
+  fold_column_run(acc, empty.colptr, empty.rows, empty.vals, fold_op);
+  EXPECT_EQ(acc, kept);
 }
 
-TEST(StreamingMerge, TiesFoldPrefixFirstThenPushOrder) {
-  // Key (0, 0) is pushed 1, then 2 and 3 in one run: (2·1 + 2)·2 + 3 = 11.
-  std::vector<Triple<double>> t{{0, 0, 1.0}, {1, 0, 5.0}};
+TEST(FoldColumnRun, TiesFoldAccumulatorFirstThenRunOrder) {
+  // Key (0, 0) folds in 1, then 2 and 3 in one run: (2·1 + 2)·2 + 3 = 11.
+  CscMatrix<double> acc(2, kCols);
   std::vector<index_t> dst;
   std::vector<std::uint8_t> first;
-  StreamingTripleMerge<double> sm;
-  sm.round(t, fold_op, &dst, &first);
-  t.push_back({0, 0, 2.0});
-  t.push_back({0, 0, 3.0});
-  sm.round(t, fold_op, &dst, &first);
-  ASSERT_EQ(t.size(), 2U);
-  EXPECT_EQ(t[0], (Triple<double>{0, 0, 11.0}));
+  const ColumnRun r1({{0, 0, 1.0}, {1, 0, 5.0}});
+  fold_column_run(acc, r1.colptr, r1.rows, r1.vals, fold_op, &dst, &first);
+  const ColumnRun r2({{0, 0, 2.0}, {0, 0, 3.0}});
+  fold_column_run(acc, r2.colptr, r2.rows, r2.vals, fold_op, &dst, &first);
+  EXPECT_EQ(acc.rowids(), (std::vector<index_t>{0, 1}));
+  EXPECT_EQ(acc.vals(), (std::vector<double>{11.0, 5.0}));
   EXPECT_EQ(dst, (std::vector<index_t>{0, 1, 0, 0}));
   EXPECT_EQ(first, (std::vector<std::uint8_t>{1, 1, 0, 0}));
+  // A ring-shaped run: rows out of order, so the repeat of row 1 folds
+  // after the accumulator's 5 and in run order: (2·(2·5 + 4) + 6).
+  const ColumnRun r3({{1, 0, 4.0}, {0, 0, 7.0}, {1, 0, 6.0}});
+  fold_column_run(acc, r3.colptr, r3.rows, r3.vals, fold_op, &dst, &first);
+  EXPECT_EQ(acc.vals(), (std::vector<double>{29.0, 34.0}));
+  EXPECT_EQ(dst, (std::vector<index_t>{0, 1, 0, 0, 1, 0, 1}));
 }
 
-TEST(StreamingMerge, RejectsHalfAProgram) {
-  std::vector<Triple<double>> t{{0, 0, 1.0}};
+TEST(FoldColumnRun, FirstEntryIsAssignedNotAdded) {
+  // 0.0 + -0.0 is +0.0, so a key seeded with zero and ⊕-ed would lose the
+  // sign: the first entry of a key must be taken as is.
+  CscMatrix<double> acc(3, kCols);
   std::vector<index_t> dst;
-  StreamingTripleMerge<double> sm;
-  EXPECT_THROW(sm.round(t, fold_op, &dst, nullptr), std::invalid_argument);
+  std::vector<std::uint8_t> first;
+  const ColumnRun r({{2, 4, -0.0}});
+  fold_column_run(acc, r.colptr, r.rows, r.vals, std::plus<double>{}, &dst, &first);
+  ASSERT_EQ(acc.vals().size(), 1U);
+  EXPECT_TRUE(std::signbit(acc.vals()[0]));
+  EXPECT_EQ(first, (std::vector<std::uint8_t>{1}));
+}
+
+TEST(FoldColumnRun, CapturedProgramReplaysFreshValues) {
+  // The program depends on structure only: replayed over new values it
+  // must equal folding those values directly.
+  std::mt19937 rng(29);
+  std::vector<std::vector<Triple<double>>> runs;
+  for (int k = 0; k < 5; ++k)
+    runs.push_back(make_run(rng, static_cast<RunKind>(k % 2), 30, 0, kCols, 6));
+  CscMatrix<double> acc(6, kCols);
+  std::vector<index_t> dst;
+  std::vector<std::uint8_t> first;
+  for (const auto& t : runs) {
+    const ColumnRun r(t);
+    fold_column_run(acc, r.colptr, r.rows, r.vals, fold_op, &dst, &first);
+  }
+  CscMatrix<double> direct(6, kCols);
+  std::vector<double> fresh;
+  for (auto& t : runs) {
+    for (auto& x : t) {
+      x.val = static_cast<double>(fresh.size() % 5) - 1.5;
+      fresh.push_back(x.val);
+    }
+    const ColumnRun r(t);
+    fold_column_run(direct, r.colptr, r.rows, r.vals, fold_op);
+  }
+  std::vector<double> replay(acc.vals().size(), 0.0);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    auto& slot = replay[static_cast<std::size_t>(dst[i])];
+    slot = first[i] != 0 ? fresh[i] : fold_op(slot, fresh[i]);
+  }
+  EXPECT_EQ(direct.colptr(), acc.colptr());
+  EXPECT_EQ(direct.rowids(), acc.rowids());
+  EXPECT_EQ(replay, direct.vals());
+}
+
+TEST(FoldColumnRun, RejectsHalfAProgramOrAMisshapedRun) {
+  CscMatrix<double> acc(2, kCols);
+  const ColumnRun r({{0, 0, 1.0}});
+  std::vector<index_t> dst;
+  EXPECT_THROW(fold_column_run(acc, r.colptr, r.rows, r.vals, fold_op, &dst, nullptr),
+               std::invalid_argument);
+  const std::vector<index_t> short_colptr{0, 1};
+  EXPECT_THROW(fold_column_run(acc, short_colptr, r.rows, r.vals, fold_op),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -451,6 +451,50 @@ TEST(MemoryBudget, PeakGaugeResetsPerOutermostCall) {
   }
 }
 
+TEST(MemoryBudget, GaugesReturnToTheirLevelAfterEveryCall) {
+  // Every transient a backend charges is released by the end of its call:
+  // after each fresh and each replayed call, on every rank, the live gauges
+  // are back where they stood before it, and a budgeted call's peak stays
+  // within the budget.
+  auto a = with_integer_values(erdos_renyi<double>(150, 5.0, 111), 112);
+  const int P = 4;
+  for (Algo algo : {Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+    DistSpgemmOptions base;
+    base.algo = algo;
+    std::uint64_t peak0 = 0;
+    for (const auto& r : run_mode<void>(P, a, base).rep.ranks)
+      peak0 = std::max(peak0, r.hwm_triples);
+    ASSERT_GT(peak0, 0u);
+    for (std::uint64_t budget : {std::uint64_t{0}, 2 * peak0}) {
+      SCOPED_TRACE(std::string(algo_name(algo)) + " budget=" + std::to_string(budget));
+      DistSpgemmOptions opt = base;
+      opt.max_peak_triples = budget;
+      std::vector<int> ok(static_cast<std::size_t>(P), 0);
+      Machine m(P);
+      m.run([&](Comm& c) {
+        auto da = DistMatrix1D<double>::from_global(c, a);
+        DistSpgemmPlan<double> plan;
+        auto& r = c.report();
+        // A standing charge, so an over-release shows too: the gauge
+        // saturates at zero and would hide one from an empty start.
+        constexpr std::uint64_t held = 1000;
+        r.mem_charge(held, held);
+        bool good = true;
+        for (int call = 0; call < 2; ++call) {  // the fresh build, then a replay
+          const auto triples = r.mem_cur_triples;
+          const auto bytes = r.mem_cur_bytes;
+          (void)spgemm_dist_cached(c, plan, da, da, opt);
+          good = good && r.mem_cur_triples == triples && r.mem_cur_bytes == bytes;
+          if (budget != 0) good = good && r.peak_triples <= held + budget;
+        }
+        r.mem_release(held, held);
+        ok[static_cast<std::size_t>(c.rank())] = good ? 1 : 0;
+      });
+      for (int r = 0; r < P; ++r) EXPECT_EQ(ok[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    }
+  }
+}
+
 TEST(MemoryBudget, CacheResidencyReportsThroughTheSharedGauge) {
   // Plan-cache residency and execution transients share one pressure path:
   // after a cached-serving call, the byte gauge holds the published cache
