@@ -62,44 +62,8 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
   MemGaugeScope gauge(comm.report());
 
   // (1) Fused batch validation: one control exchange covers the options
-  // digest, every item's shape, and the first local validation failure —
-  // the same rank-consistency contract as validate_collective, paid once.
-  {
-    std::string digest;
-    std::string verdict;
-    {
-      auto ph = comm.phase(Phase::Other);
-      digest = distdetail::options_digest(opt);
-      for (std::size_t i = 0; i < n; ++i) {
-        digest += "|" + std::to_string(items[i].first->nrows()) + "x" +
-                  std::to_string(items[i].first->ncols()) + "," +
-                  std::to_string(items[i].second->nrows()) + "x" +
-                  std::to_string(items[i].second->ncols());
-        const std::string e = distdetail::local_validation_error(
-            comm.size(), opt.algo, *items[i].first, *items[i].second, opt, comm.injector());
-        if (!e.empty() && verdict.empty())
-          verdict = "batch item " + std::to_string(i) + ": " + e;
-      }
-    }
-    auto all = comm.exchange_control(digest + "\n" + verdict);
-    for (int p = 0; p < comm.size(); ++p) {
-      const auto& s = all[static_cast<std::size_t>(p)];
-      if (s.substr(0, s.find('\n')) != all[0].substr(0, all[0].find('\n')))
-        throw ValidationError(
-            ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"},
-            "spgemm_dist_batched: options/operands disagree across ranks (rank " +
-                std::to_string(comm.global_rank(p)) + " has [" +
-                s.substr(0, s.find('\n')) + "], rank " + std::to_string(comm.global_rank(0)) +
-                " has [" + all[0].substr(0, all[0].find('\n')) + "])");
-    }
-    for (int p = 0; p < comm.size(); ++p) {
-      const auto& s = all[static_cast<std::size_t>(p)];
-      const std::string v = s.substr(s.find('\n') + 1);
-      if (!v.empty())
-        throw ValidationError(
-            ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"}, v);
-    }
-  }
+  // digest, every item's shape, and the first local validation failure.
+  distdetail::validate_collective<VT>(comm, std::span(items), opt, /*batch=*/true);
 
   // Fingerprints are structure-only: compute once per item, reused across
   // retries.

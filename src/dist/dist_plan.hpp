@@ -18,6 +18,12 @@
 //             SpgemmPlan1D constructor, so the dispatch performs exactly
 //             one metadata allgather.
 //
+// The dispatch that makes these decisions and runs the fresh multiply
+// exists once (DistSpgemmPlan::dispatch). build() runs it with capture,
+// handing each backend the plan's storage; the one-shot spgemm_dist, also
+// defined here, runs it without capture on a throwaway plan that stores no
+// backend program, routes, hashes or fingerprint and counts no build.
+//
 // execute() replays the cached program for any operand pair with matching
 // structure: only values move (value alltoallvs, value broadcasts, value
 // window gets), only numeric local passes run — bit-identical to the fresh
@@ -103,6 +109,11 @@ inline void vote_recovery_alignment(Comm& comm, const char* where) {
 /// they were built on, so reuse a plan within one Machine::run / MPI job.
 template <typename VT, typename SR = PlusTimes<VT>>
 class DistSpgemmPlan {
+  // The one-shot entry point runs dispatch() without capture.
+  template <typename SRIn, typename V>
+  friend DistMatrix1D<V> spgemm_dist(Comm&, const DistMatrix1D<V>&, const DistMatrix1D<V>&,
+                                     const DistSpgemmOptions&, DistSpgemmStats*);
+
  public:
   DistSpgemmPlan() = default;
 
@@ -238,15 +249,31 @@ class DistSpgemmPlan {
     return comm.allreduce(ok, [](int x, int y) { return x < y ? x : y; }) == 1;
   }
 
-  /// Inspector + first execute (collective): resolves Auto, runs the fresh
-  /// multiply through the chosen backend while capturing its value-only
-  /// replay program, and fingerprints the operands. Replaces any previous
-  /// plan state.
+  /// Inspector + first execute (collective): runs the dispatch with
+  /// capture — the fresh multiply through the chosen backend while keeping
+  /// its value-only replay program — and fingerprints the operands.
+  /// Replaces any previous plan state.
   DistMatrix1D<VT> build(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
                          const DistSpgemmOptions& opt = {}, DistSpgemmStats* stats = nullptr) {
+    return dispatch(comm, a, b, opt, stats, /*capture=*/true);
+  }
+
+ private:
+  /// The one dispatch (collective) behind build() and spgemm_dist, in order:
+  /// ordering-policy resolution, the cost-input gather, the reorder plan,
+  /// the joint (backend × ordering) decision, the operand permutes, panel
+  /// resolution and the panel loop, Auto's degrade walk, and the inverse
+  /// permute of C. The decision and its trace land in this plan either way.
+  /// `capture` also keeps the replay program — each backend is handed the
+  /// plan's storage (SpgemmPlan1D, RingPlan*, GridPlan*, the PermuteRoute*s)
+  /// or nothing, as its own entry point takes it — plus the operand value
+  /// hashes, the C template and the fingerprint, and counts a plan build.
+  /// Without capture the plan stays empty() (the one-shot spgemm_dist).
+  DistMatrix1D<VT> dispatch(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
+                            const DistSpgemmOptions& opt, DistSpgemmStats* stats, bool capture) {
     distdetail::validate_collective(comm, a, b, opt);
     // Per-call high-water gauge: outermost scope of the turn resets the
-    // peak; panel sub-plan builds nest and roll their charges up.
+    // peak; panel sub-calls nest and roll their charges up.
     MemGaugeScope gauge(comm.report());
     reset_keep_counters();
     opt_ = opt;
@@ -259,8 +286,11 @@ class DistSpgemmPlan {
     detail1d::AMeta<VT> meta;
     bool have_meta = false;
 
-    // Ordering policy resolution (DESIGN.md §12), mirroring spgemm_dist:
-    // ineligible operands degrade to Identity before any collective.
+    // Ordering policy resolution (DESIGN.md §12): ineligible operands
+    // degrade to Identity before any collective, so every rank takes the
+    // same path. A budget with an unresolved panel count needs the cost
+    // model to find the smallest feasible panelization even for a pinned
+    // backend; a pinned panel count is trusted verbatim.
     Ordering policy = opt.reorder;
     if (policy != Ordering::Identity && !reorder_eligible(a, b, comm.size()))
       policy = Ordering::Identity;
@@ -282,7 +312,7 @@ class DistSpgemmPlan {
       have_inputs_ = true;
     }
 
-    const RankReport before_reorder = comm.report();
+    const std::uint64_t before_reorder = comm.report().coll_bytes_received();
     ReorderPlan rplan;
     if (need_rplan) {
       rplan = build_reorder_plan(comm, a, opt.sa1d.threads, opt.reorder_seed);
@@ -309,7 +339,7 @@ class DistSpgemmPlan {
       if (opt.algo == Algo::Auto) algo = ch;
       ordering_ = ord;
       inputs_.ordering = ordering_;
-      // Plan-aware Auto (ROADMAP): the decision above is what this build
+      // Plan-aware Auto (ROADMAP): the decision above is what this call
       // runs; also reprice the same inputs for pure value-only replays
       // (zero plan term) so every later execute() can report the decision
       // horizon that matches what it did, with no re-gather.
@@ -319,10 +349,11 @@ class DistSpgemmPlan {
       layers = distdetail::default_split3d_layers(comm.size());
     }
 
-    // Apply the ordering: permute both operands onto the partition layout
-    // (Random keeps the original bounds), capturing the value-only forward
-    // routes, and cache the operand value hashes so replays can skip the
-    // movement entirely when only structure — not values — must match.
+    // Non-identity orderings run the multiply in permuted coordinates: both
+    // operands symmetrically relabeled onto the partition layout (Random
+    // keeps the original bounds). A capture keeps the value-only forward
+    // routes and the operand value hashes, so replays can skip the movement
+    // entirely when only structure — not values — must match.
     const DistMatrix1D<VT>* ra = &a;
     const DistMatrix1D<VT>* rb = &b;
     if (ordering_ != Ordering::Identity) {
@@ -335,23 +366,24 @@ class DistSpgemmPlan {
         perm_ = random_permutation(a.ncols(), opt.reorder_seed);
         pbounds = a.bounds();
       }
-      pa_ = permute_symmetric_dist(comm, a, perm_, pbounds, &route_a_);
+      pa_ = permute_symmetric_dist(comm, a, perm_, pbounds, capture ? &route_a_ : nullptr);
       pb_aliases_pa_ = &a == &b;
       if (!pb_aliases_pa_)
-        pb_ = permute_symmetric_dist(comm, b, perm_, std::move(pbounds), &route_b_);
+        pb_ = permute_symmetric_dist(comm, b, perm_, std::move(pbounds),
+                                     capture ? &route_b_ : nullptr);
       ra = &pa_;
       rb = pb_aliases_pa_ ? &pa_ : &pb_;
-      a_val_hash_ = distdetail::value_hash(a.local());
-      b_val_hash_ = pb_aliases_pa_ ? a_val_hash_ : distdetail::value_hash(b.local());
+      if (capture) {
+        a_val_hash_ = distdetail::value_hash(a.local());
+        b_val_hash_ = pb_aliases_pa_ ? a_val_hash_ : distdetail::value_hash(b.local());
+      }
     }
-    last_reorder_bytes_ =
-        comm.report().coll_bytes_received() - before_reorder.coll_bytes_received();
+    last_reorder_bytes_ = comm.report().coll_bytes_received() - before_reorder;
 
-    // Budgeted builds bound the SUMMA stage window.
+    // Budgeted runs bound the SUMMA stage window. SUMMA-2D is Split-3D on
+    // one layer.
     const bool budgeted = opt.max_peak_triples > 0;
-    auto run_fresh = [&](Algo which, int lyr) -> DistMatrix1D<VT> {
-      chosen_ = which;
-      layers_ = which == Algo::Split3D ? lyr : 1;
+    auto run_backend = [&](Algo which, int lyr) -> DistMatrix1D<VT> {
       switch (which) {
         case Algo::Auto: break;  // unreachable: resolved above
         case Algo::SparseAware1D:
@@ -361,30 +393,26 @@ class DistSpgemmPlan {
                             : SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d);
           return sa1d_.execute_verified(comm, *ra, *rb);
         case Algo::Ring1D:
-          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, &ring_);
+          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, capture ? &ring_ : nullptr);
         case Algo::Summa2D:
-          return spgemm_summa_2d_dist<SR>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          &grid_, opt.grid_rows, opt.grid_cols, budgeted);
         case Algo::Split3D:
-          require_split3d_layers(comm.size(), lyr, "DistSpgemmPlan(Algo::Split3D)");
-          return spgemm_split_3d_dist<SR>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
-                                          opt.sa1d.threads, &grid_, opt.grid_rows,
+          return spgemm_split_3d_dist<SR>(comm, *ra, *rb, which == Algo::Split3D ? lyr : 1,
+                                          opt.sa1d.kernel, opt.sa1d.threads,
+                                          capture ? &grid_ : nullptr, opt.grid_rows,
                                           opt.grid_cols, budgeted);
       }
-      require(false, "DistSpgemmPlan::build: unknown algorithm");
+      require(false, "spgemm_dist: unknown algorithm");
       return {};
     };
-    // Panelized build (DESIGN.md §13): one sub-plan per global column
-    // window of (the possibly permuted) B, built in ascending panel order;
-    // replays recompute each panel restriction and replay its sub-plan.
+    // Panelized run (DESIGN.md §13): one sub-plan per global column window
+    // of (the possibly permuted) B, run in ascending panel order and kept
+    // only by a capture; replays recompute each panel restriction and
+    // replay its sub-plan.
     auto run_panels = [&](Algo which, int lyr, int k) -> DistMatrix1D<VT> {
-      if (k <= 1) {
-        panels_ = 1;
-        return run_fresh(which, lyr);
-      }
       chosen_ = which;
       layers_ = which == Algo::Split3D ? lyr : 1;
-      panels_ = k;
+      panels_ = std::max(k, 1);
+      if (k <= 1) return run_backend(which, lyr);
       panel_bounds_ = even_split(rb->ncols(), k);
       DistSpgemmOptions sub = opt;
       sub.algo = which;
@@ -399,16 +427,16 @@ class DistSpgemmPlan {
         auto bp = restrict_columns(*rb, panel_bounds_[static_cast<std::size_t>(pi)],
                                    panel_bounds_[static_cast<std::size_t>(pi) + 1]);
         auto sp = std::make_shared<DistSpgemmPlan>();
-        outs.push_back(sp->build(comm, *ra, bp, sub));
-        panel_plans_.push_back(std::move(sp));
+        outs.push_back(sp->dispatch(comm, *ra, bp, sub, nullptr, capture));
+        if (capture) panel_plans_.push_back(std::move(sp));
       }
       auto ph = comm.phase(Phase::Other);
       return concat_column_panels(outs);
     };
-    // Panel resolution, mirroring spgemm_dist: pinned counts are trusted;
-    // panels = 0 with a budget reads the model's smallest feasible
-    // panelization for this (backend × ordering × layers) cell, raising the
-    // identical ValidationError on every rank when none fits.
+    // Panel resolution: pinned counts are trusted; panels = 0 with a budget
+    // reads the model's smallest feasible panelization for this (backend ×
+    // ordering × layers) cell, raising the identical ValidationError on
+    // every rank when none fits.
     int panels = opt.panels >= 1 ? opt.panels : 1;
     if (opt.panels == 0 && opt.max_peak_triples > 0 && opt.algo != Algo::Auto) {
       const AlgoPrediction* cell = nullptr;
@@ -420,8 +448,7 @@ class DistSpgemmPlan {
         }
       if (cell == nullptr || !cell->feasible)
         throw ValidationError(
-            ErrorContext{comm.global_rank(comm.rank()), comm.report().comm_ops,
-                         "DistSpgemmPlan::build"},
+            ErrorContext{comm.global_rank(comm.rank()), comm.report().comm_ops, "spgemm_dist"},
             std::string("spgemm_dist: no column panelization of backend ") + algo_name(algo) +
                 " fits max_peak_triples=" + std::to_string(opt.max_peak_triples) +
                 " (modeled peak exceeds the budget at every panel count)");
@@ -433,11 +460,10 @@ class DistSpgemmPlan {
     if (opt.algo != Algo::Auto) {
       c = run_panels(algo, layers, panels);
     } else {
-      // Same degrade policy as spgemm_dist: walk the cost-ranked feasible
-      // candidates *of the chosen ordering* (the operands are already
-      // permuted for it), skipping any a backend's entry validation or the
-      // fault injector's veto rejects (both deterministic and
-      // rank-symmetric).
+      // Auto degrade policy: walk the cost-ranked feasible candidates *of
+      // the chosen ordering* (the operands are already permuted for it),
+      // skipping any a backend's entry validation or the fault injector's
+      // veto rejects (both deterministic and rank-symmetric).
       std::vector<AlgoPrediction> walk = predictions_;
       std::erase_if(walk,
                     [&](const AlgoPrediction& p) { return p.ordering != ordering_; });
@@ -458,38 +484,41 @@ class DistSpgemmPlan {
       }
       if (!done)
         throw ValidationError(ErrorContext{comm.global_rank(comm.rank()),
-                                           comm.report().comm_ops, "DistSpgemmPlan::build"},
+                                           comm.report().comm_ops, "spgemm_dist"},
                               "spgemm_dist: Auto found no dispatchable backend (all "
                               "cost-feasible candidates failed validation or were vetoed)");
     }
-    const Algo algo_run = chosen_;
 
     if (ordering_ != Ordering::Identity) {
-      // Scatter C back to the caller's ordering and bounds, capturing the
-      // value-only inverse route; the returned matrix doubles as the
+      // Scatter C back to the caller's ordering and bounds. A capture keeps
+      // the value-only inverse route; the returned matrix doubles as the
       // template every replay writes its scattered values into.
-      c = permute_symmetric_dist(comm, c, perm_.inverse(), a.bounds(), &route_c_inv_);
-      c_tmpl_ = c;
+      c = permute_symmetric_dist(comm, c, perm_.inverse(), a.bounds(),
+                                 capture ? &route_c_inv_ : nullptr);
+      if (capture) c_tmpl_ = c;
     }
 
-    if (algo_run == Algo::SparseAware1D && ordering_ == Ordering::Identity && panels_ == 1) {
-      fp_ = sa1d_.fingerprint();  // the inspector already hashed the slices
-    } else {
-      // Ordered plans must fingerprint the ORIGINAL operands — matches()
-      // compares against what the caller passes; the SA-1D sub-plan hashes
-      // the permuted pair internally for its own replay guard.
-      auto ph = comm.phase(Phase::Plan);
-      fp_ = detail1d::fingerprint_of(a, b);
+    if (capture) {
+      if (chosen_ == Algo::SparseAware1D && ordering_ == Ordering::Identity && panels_ == 1) {
+        fp_ = sa1d_.fingerprint();  // the inspector already hashed the slices
+      } else {
+        // Ordered plans must fingerprint the ORIGINAL operands — matches()
+        // compares against what the caller passes; the SA-1D sub-plan
+        // hashes the permuted pair internally for its own replay guard.
+        auto ph = comm.phase(Phase::Plan);
+        fp_ = detail1d::fingerprint_of(a, b);
+      }
+      built_ = true;
+      ++builds_;
+      ++comm.report().plan_builds[distdetail::algo_slot(chosen_)];
+      if (opt_.algo == Algo::Auto) ++comm.report().plan_builds[distdetail::algo_slot(Algo::Auto)];
     }
-    built_ = true;
-    ++builds_;
-    ++comm.report().plan_builds[distdetail::algo_slot(chosen_)];
-    if (opt_.algo == Algo::Auto) ++comm.report().plan_builds[distdetail::algo_slot(Algo::Auto)];
     fill_stats(stats, comm, before, /*reused=*/false, 0);
     if (stats != nullptr) stats->validation_failovers = failovers;
     return c;
   }
 
+ public:
   /// Discards the cached program (keeping the lifetime counters) so the
   /// next call through spgemm_dist_cached rebuilds — the recovery policy's
   /// response to CorruptionDetected/PlanMismatch during a replay.
@@ -774,6 +803,13 @@ class DistSpgemmPlan {
   std::vector<index_t> panel_bounds_;
   std::vector<std::shared_ptr<DistSpgemmPlan>> panel_plans_;
 };
+
+template <typename SRIn, typename VT>
+DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
+                             const DistSpgemmOptions& opt, DistSpgemmStats* stats) {
+  DistSpgemmPlan<VT, ResolveSemiring<SRIn, VT>> once;
+  return once.dispatch(comm, a, b, opt, stats, /*capture=*/false);
+}
 
 /// Iterated-caller entry point over any backend: reuses `plan` when every
 /// rank's operand structure still matches it and the options are unchanged

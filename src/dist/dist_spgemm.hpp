@@ -10,12 +10,17 @@
 // the inspector's Algorithm 2 machinery: nnz, nzc, needed-fraction, planned
 // fetch volume) and asks CostModel::predict to rank the concrete backends;
 // the decision and the per-algorithm predictions are recorded in
-// DistSpgemmStats. DESIGN.md §7 documents the dispatcher, the
-// redistribution data flow, and the cost-model features.
+// DistSpgemmStats. This header holds the options, the stats, the cost-input
+// gather, the decision functions and the entry validation; the dispatch
+// itself exists once, in DistSpgemmPlan (dist/dist_plan.hpp): a plan build
+// runs it with capture, a one-shot spgemm_dist without. DESIGN.md §7
+// documents the dispatcher, the redistribution data flow, and the
+// cost-model features.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -99,8 +104,9 @@ struct DistSpgemmOptions {
 
 /// What one spgemm_dist call decided and why. `predictions` (one entry per
 /// concrete backend, infeasible ones marked) and `inputs` are filled when
-/// the cost model ran, i.e. under Algo::Auto (for plan-cached calls the
-/// cached decision trace is reported, gathered once at build time).
+/// the cost model ran — under Algo::Auto, an Auto ordering, or a budget
+/// with an unresolved panel count (for plan replays the cached decision
+/// trace is reported, gathered once at build time).
 ///
 /// Plan-aware Auto: `replay_predictions`/`replay_choice` reprice the same
 /// inputs for *cached replays* (CostModel::predict_replay — zero plan
@@ -112,8 +118,8 @@ struct DistSpgemmOptions {
 /// inputs with no extra communication.
 ///
 /// The per-call counters below are rank-local deltas measured around the
-/// call by the DistSpgemmPlan entry points (dist/dist_plan.hpp); the plain
-/// one-shot spgemm_dist leaves them zero. `meta_coll_bytes` is the
+/// call by the one dispatch (dist/dist_plan.hpp), so one-shot spgemm_dist
+/// calls, plan builds and replays all fill them. `meta_coll_bytes` is the
 /// collective traffic beyond the pure value payload a cached replay moves —
 /// structural metadata (D/cp gathers, triple-borne structure), exactly zero
 /// on a plan reuse.
@@ -123,7 +129,7 @@ struct DistSpgemmStats {
   int layers = 1;  ///< layer count used when chosen == Split3D
   AlgoCostInputs inputs{};
   std::vector<AlgoPrediction> predictions;
-  std::vector<AlgoPrediction> replay_predictions;  ///< replay-priced trace (plan-cached Auto)
+  std::vector<AlgoPrediction> replay_predictions;  ///< replay-priced trace (when the model ran)
   Algo replay_choice = Algo::Auto;  ///< argmin of replay_predictions; Auto = not computed
   int replay_layers = 1;  ///< layer count the replay-priced Split3D choice assumed
 
@@ -148,8 +154,8 @@ struct DistSpgemmStats {
   std::uint64_t coll_recv_bytes = 0;   ///< collective bytes received (this rank)
   std::uint64_t meta_coll_bytes = 0;   ///< coll_recv_bytes beyond the value-replay volume
 
-  // Overlap accounting (this rank's deltas, filled by the DistSpgemmPlan
-  // entry points like the counters above): modeled comm seconds the rank
+  // Overlap accounting (this rank's deltas, filled by every entry point
+  // like the counters above): modeled comm seconds the rank
   // actually waited for vs. seconds hidden behind concurrent compute.
   double comm_wait_s = 0.0;    ///< RankReport::comm_s delta
   double comm_hidden_s = 0.0;  ///< RankReport::overlap_s delta
@@ -461,7 +467,7 @@ std::string local_validation_error(int P, Algo algo, const DistMatrix1D<VT>& a,
               std::string("spgemm_dist: backend ") + algo_name(algo) +
                   " vetoed by fault injection");
     if (algo == Algo::Summa2D)
-      require_grid_shape(P, opt.grid_rows, opt.grid_cols, "spgemm_summa_2d_dist");
+      require_grid_shape(P, opt.grid_rows, opt.grid_cols, "spgemm_dist(Algo::Summa2D)");
     if (algo == Algo::Split3D) {
       const int layers = opt.layers > 0 ? opt.layers : default_split3d_layers(P);
       require_split3d_layers(P, layers, "spgemm_dist(Algo::Split3D)");
@@ -490,40 +496,54 @@ inline std::string options_digest(const DistSpgemmOptions& opt) {
          "," + std::to_string(opt.max_peak_triples) + "," + std::to_string(opt.panels);
 }
 
+/// One operand pair of a multiply: (A, B).
+template <typename VT>
+using OperandPair = std::pair<const DistMatrix1D<VT>*, const DistMatrix1D<VT>*>;
+
 /// Rank-consistent input validation (collective): every rank publishes its
-/// local verdict plus a digest of everything the dispatch branches on
-/// through the *uncounted* control exchange (Comm::exchange_control — no
-/// byte/message counter changes), and the lowest-rank failure is thrown as
-/// the byte-identical ValidationError on every rank. Divergent options or
+/// first local verdict over `items` plus a digest of everything the
+/// dispatch branches on (the options and every item's shape) through the
+/// *uncounted* control exchange (Comm::exchange_control — no byte/message
+/// counter changes), and the lowest-rank failure is thrown as the
+/// byte-identical ValidationError on every rank. Divergent options or
 /// operand shapes across ranks — which would send ranks down different
 /// collective sequences — are themselves a validation error. Guarantees no
-/// rank proceeds into a data collective alone.
+/// rank proceeds into a data collective alone. `batch` names the caller
+/// spgemm_dist_batched and prefixes a verdict with its item index; a
+/// single call passes one pair.
 template <typename VT>
-void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                         const DistSpgemmOptions& opt) {
+void validate_collective(Comm& comm, std::span<const OperandPair<VT>> items,
+                         const DistSpgemmOptions& opt, bool batch = false) {
+  const std::string who = batch ? "spgemm_dist_batched" : "spgemm_dist";
   std::string digest;
+  std::string verdict;
   {
     auto ph = comm.phase(Phase::Other);
-    digest = options_digest(opt) + "|" + std::to_string(a.nrows()) + "x" +
-             std::to_string(a.ncols()) + "," +
-             std::to_string(b.nrows()) + "x" + std::to_string(b.ncols());
+    digest = options_digest(opt);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const auto& [a, b] = items[i];
+      digest += "|" + std::to_string(a->nrows()) + "x" + std::to_string(a->ncols()) + "," +
+                std::to_string(b->nrows()) + "x" + std::to_string(b->ncols());
+      const std::string e =
+          local_validation_error(comm.size(), opt.algo, *a, *b, opt, comm.injector());
+      if (!e.empty() && verdict.empty())
+        verdict = batch ? "batch item " + std::to_string(i) + ": " + e : e;
+    }
   }
-  const std::string verdict =
-      local_validation_error(comm.size(), opt.algo, a, b, opt, comm.injector());
   auto all = comm.exchange_control(digest + "\n" + verdict);
   // Every rank holds the identical `all`, so every throw below constructs
   // the byte-identical error on every rank — the rank-consistency contract.
+  const std::string d0 = all[0].substr(0, all[0].find('\n'));
   for (int p = 0; p < comm.size(); ++p) {
     const auto& s = all[static_cast<std::size_t>(p)];
     const std::string d = s.substr(0, s.find('\n'));
-    if (d != all[0].substr(0, all[0].find('\n')))
+    if (d != d0)
       throw ValidationError(
           ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"},
-          "spgemm_dist: options/operands disagree across ranks (rank " +
+          who + ": options/operands disagree across ranks (rank " +
               std::to_string(comm.global_rank(p)) + " has [" + d + "], rank " +
-              std::to_string(comm.global_rank(0)) + " has [" +
-              all[0].substr(0, all[0].find('\n')) + "]); every rank must pass identical "
-              "options and globally consistent operands");
+              std::to_string(comm.global_rank(0)) + " has [" + d0 +
+              "]); every rank must pass identical options and globally consistent operands");
   }
   for (int p = 0; p < comm.size(); ++p) {
     const auto& s = all[static_cast<std::size_t>(p)];
@@ -532,6 +552,13 @@ void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix
       throw ValidationError(
           ErrorContext{comm.global_rank(p), comm.report().comm_ops, "validate"}, v);
   }
+}
+
+template <typename VT>
+void validate_collective(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
+                         const DistSpgemmOptions& opt) {
+  const OperandPair<VT> one{&a, &b};
+  validate_collective(comm, std::span<const OperandPair<VT>>(&one, 1), opt);
 }
 
 /// Auto's degrade order: the feasible predictions ranked by modeled total
@@ -550,221 +577,14 @@ inline std::vector<AlgoPrediction> ranked_candidates(std::vector<AlgoPrediction>
 
 /// The unified distributed SpGEMM: C = A ⊕.⊗ B with A, B, C all 1D
 /// column-distributed; C inherits B's column distribution whichever backend
-/// runs. Collective. `stats` (optional) receives the dispatch decision and,
-/// under Auto, the inputs and per-backend predictions. `plan` (optional)
-/// caches the SA-1D inspector across iterated calls exactly like
-/// spgemm_1d_cached — ignored by the other backends.
+/// runs. Collective. `stats` (optional) receives the dispatch decision, the
+/// Auto inputs and per-backend predictions, and the per-call counters.
+/// Defined in dist/dist_plan.hpp: it is DistSpgemmPlan's dispatch run
+/// without capture, so a one-shot call keeps no replay program. Iterated
+/// callers hold a DistSpgemmPlan and call spgemm_dist_cached instead.
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                             const DistSpgemmOptions& opt = {}, DistSpgemmStats* stats = nullptr,
-                             SpgemmPlan1D<VT, ResolveSemiring<SRIn, VT>>* plan = nullptr) {
-  distdetail::validate_collective(comm, a, b, opt);
-  // High-water gauge scope: the outermost call of the turn resets the peak
-  // to the current residency, so DistSpgemmStats reports a per-call peak;
-  // nested panel sub-calls observe the parent scope (their charges roll up).
-  MemGaugeScope gauge(comm.report());
-
-  Algo algo = opt.algo;
-  int layers = opt.layers;
-  DistSpgemmStats scratch;
-  DistSpgemmStats& st = stats != nullptr ? *stats : scratch;
-  st = DistSpgemmStats{};
-  st.requested = opt.algo;
-  st.requested_ordering = opt.reorder;
-  st.horizon_iters = std::max(1, opt.expected_iterations);
-
-  // Ordering policy resolution (DESIGN.md §12): ineligible operands degrade
-  // to Identity before any collective, so every rank takes the same path.
-  Ordering policy = opt.reorder;
-  if (policy != Ordering::Identity && !reorder_eligible(a, b, comm.size()))
-    policy = Ordering::Identity;
-  // A budget with an unresolved panel count needs the cost model to find
-  // the smallest feasible panelization even for a pinned backend; a pinned
-  // panel count is trusted verbatim (panel sub-calls run with panels = 1).
-  const bool need_cost = algo == Algo::Auto || policy == Ordering::Auto ||
-                         (opt.max_peak_triples > 0 && opt.panels == 0);
-  const bool need_rplan = policy == Ordering::Auto || policy == Ordering::Partitioned;
-
-  if (need_cost) {
-    st.inputs = gather_algo_cost_inputs(comm, a, b, opt.sa1d);
-    st.inputs.grid_rows = opt.grid_rows;
-    st.inputs.grid_cols = opt.grid_cols;
-    st.inputs.max_peak_triples = opt.max_peak_triples;
-    st.inputs.panels = opt.panels;
-  }
-
-  const RankReport before_reorder = comm.report();
-  ReorderPlan rplan;
-  if (need_rplan) {
-    rplan = build_reorder_plan(comm, a, opt.sa1d.threads, opt.reorder_seed);
-    st.partition_seconds = rplan.features.partition_seconds;
-    st.reorder_cut_fraction = rplan.features.cut_fraction;
-    st.reorder_part_imbalance = rplan.features.part_imbalance;
-    if (!rplan.valid && policy == Ordering::Partitioned) policy = Ordering::Identity;
-  }
-
-  Ordering ordering = policy == Ordering::Auto ? Ordering::Identity : policy;
-  if (need_cost) {
-    if (rplan.valid) {
-      st.inputs.reorder_cut_fraction = rplan.features.cut_fraction;
-      st.inputs.reorder_part_imbalance = rplan.features.part_imbalance;
-      st.inputs.reorder_seconds = rplan.features.partition_seconds;
-    }
-    st.inputs.reorder_move_elems = st.inputs.nnz_a + (&a == &b ? 0 : st.inputs.nnz_b);
-    auto ph = comm.phase(Phase::Plan);
-    auto [ch, ord] = choose_algo_ordered(comm.cost(), st.inputs, policy, rplan.valid, opt.algo,
-                                         opt.layers, &layers, &st.predictions,
-                                         st.horizon_iters);
-    if (opt.algo == Algo::Auto) algo = ch;
-    ordering = ord;
-    st.inputs.ordering = ordering;
-  } else if (algo == Algo::Split3D && layers == 0) {
-    layers = distdetail::default_split3d_layers(comm.size());
-  }
-  st.ordering = ordering;
-
-  // Non-identity orderings run the multiply in permuted coordinates — both
-  // operands symmetrically relabeled onto the partition layout (or the
-  // original bounds for Random) — then scatter C back below.
-  Permutation perm;
-  const DistMatrix1D<VT>* ra = &a;
-  const DistMatrix1D<VT>* rb = &b;
-  DistMatrix1D<VT> pa, pb;
-  if (ordering != Ordering::Identity) {
-    std::vector<index_t> pbounds;
-    if (ordering == Ordering::Partitioned) {
-      perm = rplan.layout.perm;
-      pbounds = rplan.layout.bounds;
-    } else {
-      perm = random_permutation(a.ncols(), opt.reorder_seed);
-      pbounds = a.bounds();
-    }
-    pa = permute_symmetric_dist(comm, a, perm, pbounds);
-    ra = &pa;
-    if (&a == &b) {
-      rb = &pa;
-    } else {
-      pb = permute_symmetric_dist(comm, b, perm, std::move(pbounds));
-      rb = &pb;
-    }
-  }
-  st.reorder_coll_bytes =
-      comm.report().coll_bytes_received() - before_reorder.coll_bytes_received();
-
-  const bool budgeted = opt.max_peak_triples > 0;
-  auto dispatch = [&](Algo which, int lyr) -> DistMatrix1D<VT> {
-    st.chosen = which;
-    st.layers = which == Algo::Split3D ? lyr : 1;
-    switch (which) {
-      case Algo::Auto: break;  // unreachable: resolved above
-      case Algo::SparseAware1D:
-        if (plan != nullptr) return spgemm_1d_cached(comm, *plan, *ra, *rb, opt.sa1d);
-        return spgemm_1d<SRIn>(comm, *ra, *rb, opt.sa1d);
-      case Algo::Ring1D:
-        return spgemm_naive_ring_1d<SRIn>(comm, *ra, *rb);
-      case Algo::Summa2D:
-        return spgemm_summa_2d_dist<SRIn>(comm, *ra, *rb, opt.sa1d.kernel, opt.sa1d.threads,
-                                          nullptr, opt.grid_rows, opt.grid_cols, budgeted);
-      case Algo::Split3D:
-        require_split3d_layers(comm.size(), lyr, "spgemm_dist(Algo::Split3D)");
-        return spgemm_split_3d_dist<SRIn>(comm, *ra, *rb, lyr, opt.sa1d.kernel,
-                                          opt.sa1d.threads, nullptr, opt.grid_rows,
-                                          opt.grid_cols, budgeted);
-    }
-    require(false, "spgemm_dist: unknown algorithm");
-    return {};
-  };
-  // Column-panel execution (DESIGN.md §13): k > 1 multiplies C in k global
-  // column windows of B — one recursive spgemm_dist per panel with the
-  // backend, layers, and ordering pinned (the operands are already
-  // permuted) — and concatenates in ascending panel order. Bit-identical to
-  // the monolithic dispatch: panels partition C's columns and every backend
-  // folds a column's partials independently of every other column.
-  auto run_panels = [&](Algo which, int lyr, int k) -> DistMatrix1D<VT> {
-    if (k <= 1) {
-      st.panels = 1;
-      return dispatch(which, lyr);
-    }
-    st.chosen = which;
-    st.layers = which == Algo::Split3D ? lyr : 1;
-    st.panels = k;
-    DistSpgemmOptions sub = opt;
-    sub.algo = which;
-    sub.layers = which == Algo::Split3D ? lyr : opt.layers;
-    sub.reorder = Ordering::Identity;
-    sub.panels = 1;  // panel sub-calls are monolithic: no re-resolution
-    const auto pb_bounds = even_split(rb->ncols(), k);
-    std::vector<DistMatrix1D<VT>> outs;
-    outs.reserve(static_cast<std::size_t>(k));
-    for (int pi = 0; pi < k; ++pi) {
-      auto bp = restrict_columns(*rb, pb_bounds[static_cast<std::size_t>(pi)],
-                                 pb_bounds[static_cast<std::size_t>(pi) + 1]);
-      outs.push_back(spgemm_dist<SRIn>(comm, *ra, bp, sub));
-    }
-    auto ph = comm.phase(Phase::Other);
-    return concat_column_panels(outs);
-  };
-  // C of the permuted multiply is P·C·Pᵀ of the caller's: the inverse
-  // symmetric permute lands it back on the original ordering and bounds.
-  // Also the single exit point, so the measured per-call peak lands in the
-  // stats whatever path produced C.
-  auto finish = [&](DistMatrix1D<VT> c) -> DistMatrix1D<VT> {
-    if (ordering != Ordering::Identity)
-      c = permute_symmetric_dist(comm, c, perm.inverse(), a.bounds());
-    st.peak_triples = comm.report().peak_triples;
-    st.peak_bytes = comm.report().peak_bytes;
-    return c;
-  };
-  // Panel resolution for a non-Auto dispatch: a pinned count is trusted
-  // verbatim; panels = 0 with a budget reads the cost model's smallest
-  // feasible panelization for the (backend × ordering × layers) cell, or
-  // raises rank-uniformly (the predictions derive from global aggregates,
-  // so every rank throws the identical error).
-  int panels = opt.panels >= 1 ? opt.panels : 1;
-  if (opt.panels == 0 && opt.max_peak_triples > 0 && opt.algo != Algo::Auto) {
-    const AlgoPrediction* cell = nullptr;
-    for (const auto& pr : st.predictions)
-      if (pr.algo == algo && pr.ordering == ordering &&
-          (algo != Algo::Split3D || pr.layers == layers)) {
-        cell = &pr;
-        break;
-      }
-    if (cell == nullptr || !cell->feasible)
-      throw ValidationError(
-          ErrorContext{comm.global_rank(comm.rank()), comm.report().comm_ops, "spgemm_dist"},
-          std::string("spgemm_dist: no column panelization of backend ") + algo_name(algo) +
-              " fits max_peak_triples=" + std::to_string(opt.max_peak_triples) +
-              " (modeled peak exceeds the budget at every panel count)");
-    panels = cell->panels;
-  }
-
-  if (opt.algo != Algo::Auto) return finish(run_panels(algo, layers, panels));
-
-  // Auto degrade policy: walk the cost-ranked feasible candidates *of the
-  // chosen ordering* (the operands are already permuted for it); a
-  // candidate whose dispatch fails validation (or that the fault injector
-  // vetoes — both are deterministic and rank-symmetric, so every rank skips
-  // the same cells) falls through to the next-ranked backend. Every backend
-  // validates at entry, before any collective, so the fallthrough never
-  // desynchronizes the ranks.
-  std::vector<AlgoPrediction> walk = st.predictions;
-  std::erase_if(walk, [&](const AlgoPrediction& p) { return p.ordering != ordering; });
-  for (const auto& cand : distdetail::ranked_candidates(std::move(walk))) {
-    if (comm.injector() != nullptr && comm.injector()->vetoes(static_cast<int>(cand.algo))) {
-      ++st.validation_failovers;
-      continue;
-    }
-    try {
-      return finish(run_panels(cand.algo, cand.layers, cand.panels));
-    } catch (const std::invalid_argument&) {
-      ++st.validation_failovers;
-    }
-  }
-  throw ValidationError(ErrorContext{comm.global_rank(comm.rank()), comm.report().comm_ops,
-                                     "spgemm_dist"},
-                        "spgemm_dist: Auto found no dispatchable backend (all cost-feasible "
-                        "candidates failed validation or were vetoed)");
-}
+                             const DistSpgemmOptions& opt = {}, DistSpgemmStats* stats = nullptr);
 
 }  // namespace sa1d
 

@@ -231,10 +231,12 @@ struct ColumnEntry {
 /// accumulator in ascending source order through fold_column_run, so ties
 /// fold in arrival order and a captured program replays bit-exactly. One
 /// all-to-all by column owner; the result is born distributed (no global
-/// gather). Collective. `route` (optional) captures the value-only replay
-/// program.
+/// gather). Collective. `part` arrives charged to the transient gauge (its
+/// nnz, as summa_stages leaves it) and is freed, its charge released, once
+/// packed into the send chunks. `route` (optional) captures the value-only
+/// replay program.
 template <typename SR, typename VT>
-DistMatrix1D<VT> redistribute_csc_to_1d(Comm& comm, const CscMatrix<VT>& part, index_t row_base,
+DistMatrix1D<VT> redistribute_csc_to_1d(Comm& comm, CscMatrix<VT> part, index_t row_base,
                                         index_t col_base, index_t nrows, index_t ncols,
                                         std::vector<index_t> out_bounds,
                                         ScatterRoute<VT>* route = nullptr) {
@@ -271,14 +273,21 @@ DistMatrix1D<VT> redistribute_csc_to_1d(Comm& comm, const CscMatrix<VT>& part, i
       }
     }
   }
+  auto& rep = comm.report();
+  constexpr std::uint64_t eb = sizeof(index_t) + sizeof(VT);  // one stored partial of C
+  {
+    // Packed: the partial block dies before the receive, as the replay's
+    // accumulators do (replay_scatter_out).
+    const auto held = static_cast<std::uint64_t>(part.nnz());
+    rep.mem_release(held, held * eb);
+    part = CscMatrix<VT>();
+  }
   const index_t lo = out_bounds[static_cast<std::size_t>(comm.rank())];
   const index_t hi = out_bounds[static_cast<std::size_t>(comm.rank()) + 1];
   CscMatrix<VT> acc(nrows, hi - lo);
   std::vector<index_t> dst;
   std::vector<std::uint8_t> first;
   std::vector<index_t> counts(static_cast<std::size_t>(P), 0);
-  auto& rep = comm.report();
-  constexpr std::uint64_t eb = sizeof(index_t) + sizeof(VT);  // one stored partial of C
   // Pipelined fold: each chunk is decoded into a run over the accumulator's
   // columns and folded as it arrives, in ascending rank order; later
   // chunks' modeled transfer time hides behind earlier chunks' fold work,

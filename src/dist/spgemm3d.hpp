@@ -8,8 +8,10 @@
 // distribution (the "split" reduction) — one all-to-all, no rank-0 gather.
 // Operands arrive 1D-distributed and are routed straight to their
 // (layer, grid) owners: each nonzero has exactly one target, so the inbound
-// redistribution is also a single all-to-all per operand. The captured
-// program is a GridPlan with `layers` > 1; spgemm_grid_replay replays it.
+// redistribution is also a single all-to-all per operand. One layer is 2D
+// SUMMA exactly (the routes, stage loop and scatter reduce to the 2D ones,
+// and no layer communicator is split), so this is also the SUMMA-2D fresh
+// entry. The captured program is a GridPlan; spgemm_grid_replay replays it.
 #pragma once
 
 #include <cstdint>
@@ -21,13 +23,14 @@
 
 namespace sa1d {
 
-/// Split-3D SpGEMM over 1D-distributed operands. Collective; requires only
-/// that `layers` divides P (require_split3d_layers lists the valid counts
-/// otherwise) — each layer grid is the nearest-square factorization of
-/// P/layers unless `grid_rows`/`grid_cols` pin a shape. C is returned in
-/// B's column distribution. `plan` (optional) captures the full value-only
-/// replay program while this fresh call runs; `budgeted` bounds each layer's
-/// stage window (a max_peak_triples budget is in force).
+/// Split-3D SpGEMM over 1D-distributed operands (`layers` = 1 is 2D SUMMA).
+/// Collective; requires only that `layers` divides P (require_split3d_layers
+/// lists the valid counts otherwise) — each layer grid is the
+/// nearest-square factorization of P/layers unless `grid_rows`/`grid_cols`
+/// pin a shape. C is returned in B's column distribution. `plan` (optional)
+/// captures the full value-only replay program while this fresh call runs;
+/// `budgeted` bounds each layer's stage window (a max_peak_triples budget
+/// is in force).
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_split_3d_dist(
     Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b, int layers,
@@ -96,24 +99,21 @@ DistMatrix1D<VT> spgemm_split_3d_dist(
   // Each layer's q_r × q_c grid runs SUMMA on its inner slice into a CSC
   // block over (rb[gi], cb[gj]); the final scatter folds the layers' blocks
   // of the same (gi, gj) with ⊕.
-  Comm layer_comm = comm.split(layer, comm.rank());
-  auto acc = summadetail::summa_stages<SR>(
-      layer_comm, grid, my_a, my_b, std::span<const index_t>(rb),
-      std::span<const index_t>(kb_layer[static_cast<std::size_t>(layer)]),
-      std::span<const index_t>(cb), kernel, threads, plan != nullptr ? &plan->sched : nullptr,
-      budgeted);
+  auto acc = summadetail::on_layer(comm, layers, [&](Comm& layer_comm) {
+    return summadetail::summa_stages<SR>(
+        layer_comm, grid, my_a, my_b, std::span<const index_t>(rb),
+        std::span<const index_t>(kb_layer[static_cast<std::size_t>(layer)]),
+        std::span<const index_t>(cb), kernel, threads, plan != nullptr ? &plan->sched : nullptr,
+        budgeted);
+  });
   // Pipelined cross-layer "split" reduction: the scatter folds each
   // layer's partial-C chunk as it arrives, in ascending source (= layer)
   // order, so the cross-layer merge never holds all arrivals plus the
-  // merged copy at once.
-  auto c = redistribute_csc_to_1d<SR>(comm, acc, rb[static_cast<std::size_t>(gi)],
-                                      cb[static_cast<std::size_t>(gj)], a.nrows(), b.ncols(),
-                                      b.bounds(), plan != nullptr ? &plan->out : nullptr);
-  // This layer's merged partials (charged stage by stage in summa_stages)
-  // die here: the scatter has folded them into C's distribution.
-  const auto held = static_cast<std::uint64_t>(acc.nnz());
-  comm.report().mem_release(held, held * (sizeof(index_t) + sizeof(VT)));
-  return c;
+  // merged copy at once. It takes this layer's merged partials (charged
+  // stage by stage in summa_stages) and frees them once packed.
+  return redistribute_csc_to_1d<SR>(comm, std::move(acc), rb[static_cast<std::size_t>(gi)],
+                                    cb[static_cast<std::size_t>(gj)], a.nrows(), b.ncols(),
+                                    b.bounds(), plan != nullptr ? &plan->out : nullptr);
 }
 
 }  // namespace sa1d

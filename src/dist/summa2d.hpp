@@ -8,7 +8,9 @@
 // sub-blocks. On a square grid this is the classic √P×√P algorithm with q
 // whole-block stages.
 //
-// The primary entry point is 1D-in/1D-out: operands arrive in the library's
+// This header holds the stage loop and the grid replay; the fresh
+// 1D-in/1D-out entry is spgemm_split_3d_dist (dist/spgemm3d.hpp), whose
+// one-layer case is this algorithm: operands arrive in the library's
 // canonical column distribution and are scattered onto the grid by one
 // all-to-all (dist/redistribute.hpp). Each rank keeps its partial C(i,j) as
 // one CSC block over its fixed column block: every stage's local product
@@ -25,7 +27,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -147,6 +148,16 @@ void pipeline_stages(Comm& comm, Comm& row_comm, Comm& col_comm, int s, int spc,
   }
 }
 
+/// Runs `body` on this rank's layer of `layers` equal consecutive rank
+/// groups: `comm` itself for one layer — no split, so SUMMA-2D (Split-3D on
+/// one layer) issues no extra comm op — else the split layer communicator.
+template <typename Body>
+auto on_layer(Comm& comm, int layers, Body&& body) {
+  if (layers <= 1) return body(comm);
+  Comm layer_comm = comm.split(comm.rank() / (comm.size() / layers), comm.rank());
+  return body(layer_comm);
+}
+
 /// The SUMMA stage loop over one q_r × q_c grid (`grid.rows · grid.cols ==
 /// comm.size()`): returns this rank's partial C(gi, gj) as a CSC block over
 /// row block rb[gi] and column block cb[gj], in block-local coordinates
@@ -162,7 +173,7 @@ void pipeline_stages(Comm& comm, Comm& row_comm, Comm& col_comm, int s, int spc,
 /// fold is deterministic (ties fold in stage order), so a schedule captured
 /// via `sched` replays bit-exactly. `budgeted` bounds the stage window
 /// (pipeline_stages). The returned block stays charged to the transient
-/// gauge; the caller releases it once scattered.
+/// gauge; redistribute_csc_to_1d releases it once packed.
 template <typename SR, typename VT>
 CscMatrix<VT> summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a,
                            const CscMatrix<VT>& my_b, std::span<const index_t> rb,
@@ -319,8 +330,8 @@ CscMatrix<VT> summa_stages(Comm& comm, GridShape grid, const CscMatrix<VT>& my_a
 /// routes, this rank's layer stage schedule (which remembers its q_r × q_c
 /// grid), and the outbound scatter/merge program — which folds across the
 /// stages and, for Split-3D, across the layers. Captured by
-/// spgemm_summa_2d_dist / spgemm_split_3d_dist, replayed (values only) by
-/// spgemm_grid_replay.
+/// spgemm_split_3d_dist (SUMMA-2D is its one-layer case), replayed (values
+/// only) by spgemm_grid_replay.
 template <typename VT, typename SR>
 struct GridPlan {
   int layers = 1;  ///< 1 = SUMMA-2D
@@ -635,76 +646,10 @@ std::vector<DistMatrix1D<VT>> spgemm_grid_replay(Comm& comm,
                 m.plan->sched.stages.size() == p0.sched.stages.size(),
             "spgemm_grid_replay: members must share the grid shape and layer count");
   summadetail::replay_routes_in<SR>(comm, ms);
-  std::vector<std::vector<VT>> accs;
-  if (p0.layers <= 1) {
-    accs = summadetail::replay_stages<SR>(comm, ms, budgeted);
-  } else {
-    const int q2 = comm.size() / p0.layers;
-    Comm layer_comm = comm.split(comm.rank() / q2, comm.rank());
-    accs = summadetail::replay_stages<SR>(layer_comm, ms, budgeted);
-  }
+  auto accs = summadetail::on_layer(comm, p0.layers, [&](Comm& layer_comm) {
+    return summadetail::replay_stages<SR>(layer_comm, ms, budgeted);
+  });
   return summadetail::replay_scatter_out<SR>(comm, ms, std::move(accs));
-}
-
-/// 2D sparse SUMMA over 1D-distributed operands on a q_r × q_c grid.
-/// Collective; any process count works — the grid is the nearest-square
-/// factorization of P unless `grid_rows`/`grid_cols` pin a shape
-/// (require_grid_shape validates a pinned shape against P). C is returned
-/// in B's column distribution; partial entries across the stages are merged
-/// with the semiring's ⊕. `plan` (optional) captures the full value-only
-/// replay program while this fresh call runs; `budgeted` bounds the stage
-/// window (a max_peak_triples budget is in force).
-template <typename SRIn = void, typename VT>
-DistMatrix1D<VT> spgemm_summa_2d_dist(
-    Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-    LocalKernel kernel = LocalKernel::Hybrid, int threads = 1,
-    std::type_identity_t<GridPlan<VT, ResolveSemiring<SRIn, VT>>*> plan = nullptr,
-    int grid_rows = 0, int grid_cols = 0, bool budgeted = false) {
-  using SR = ResolveSemiring<SRIn, VT>;
-  require(a.ncols() == b.nrows(), "spgemm_summa_2d_dist: inner dimension mismatch");
-  const int P = comm.size();
-  const GridShape grid = require_grid_shape(P, grid_rows, grid_cols, "spgemm_summa_2d_dist");
-  const int gi = comm.rank() / grid.cols;
-  const int gj = comm.rank() % grid.cols;
-
-  auto rb = even_split(a.nrows(), grid.rows);    // row blocks of A and C
-  auto kb = even_split(a.ncols(), grid.stages);  // fine inner-dimension blocks
-  auto cb = even_split(b.ncols(), grid.cols);    // column blocks of B and C
-
-  // Coarse per-rank inner tilings: grid column j owns A's fine blocks
-  // [j·s/q_c, (j+1)·s/q_c), grid row i owns B's [i·s/q_r, (i+1)·s/q_r) —
-  // contiguous runs, so each operand routes through the generic 1D→grid
-  // primitive with its own coarse bounds (they differ on rectangular
-  // grids).
-  const int spc = grid.stages / grid.cols;
-  const int spr = grid.stages / grid.rows;
-  std::vector<index_t> ka(static_cast<std::size_t>(grid.cols) + 1);
-  std::vector<index_t> kbt(static_cast<std::size_t>(grid.rows) + 1);
-  for (int j = 0; j <= grid.cols; ++j)
-    ka[static_cast<std::size_t>(j)] = kb[static_cast<std::size_t>(j * spc)];
-  for (int i = 0; i <= grid.rows; ++i)
-    kbt[static_cast<std::size_t>(i)] = kb[static_cast<std::size_t>(i * spr)];
-
-  auto rank_of = [qc = grid.cols](int bi, int bj) { return bi * qc + bj; };
-  auto my_a = redistribute_1d_to_2d_grid(comm, a, std::span<const index_t>(rb),
-                                         std::span<const index_t>(ka), rank_of, gi, gj,
-                                         plan != nullptr ? &plan->route_a : nullptr);
-  auto my_b = redistribute_1d_to_2d_grid(comm, b, std::span<const index_t>(kbt),
-                                         std::span<const index_t>(cb), rank_of, gi, gj,
-                                         plan != nullptr ? &plan->route_b : nullptr);
-
-  auto acc = summadetail::summa_stages<SR>(
-      comm, grid, my_a, my_b, std::span<const index_t>(rb), std::span<const index_t>(kb),
-      std::span<const index_t>(cb), kernel, threads, plan != nullptr ? &plan->sched : nullptr,
-      budgeted);
-  auto c = redistribute_csc_to_1d<SR>(comm, acc, rb[static_cast<std::size_t>(gi)],
-                                      cb[static_cast<std::size_t>(gj)], a.nrows(), b.ncols(),
-                                      b.bounds(), plan != nullptr ? &plan->out : nullptr);
-  // The merged partial-C accumulator (charged stage by stage above) dies
-  // here: the scatter has folded it into C's distribution.
-  const auto held = static_cast<std::uint64_t>(acc.nnz());
-  comm.report().mem_release(held, held * (sizeof(index_t) + sizeof(VT)));
-  return c;
 }
 
 }  // namespace sa1d

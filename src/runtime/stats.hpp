@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "util/timer.hpp"
 
@@ -147,9 +149,16 @@ struct RankReport {
     if (mem_cur_triples > hwm_triples) hwm_triples = mem_cur_triples;
     if (mem_cur_bytes > hwm_bytes) hwm_bytes = mem_cur_bytes;
   }
+  /// Releasing more than is charged is a bookkeeping bug at the release
+  /// site, so it throws instead of clamping the gauge at zero.
   void mem_release(std::uint64_t triples, std::uint64_t bytes) {
-    mem_cur_triples -= triples < mem_cur_triples ? triples : mem_cur_triples;
-    mem_cur_bytes -= bytes < mem_cur_bytes ? bytes : mem_cur_bytes;
+    if (triples > mem_cur_triples || bytes > mem_cur_bytes)
+      throw std::logic_error("RankReport::mem_release: releases " + std::to_string(triples) +
+                             " triples / " + std::to_string(bytes) + " B but only " +
+                             std::to_string(mem_cur_triples) + " / " +
+                             std::to_string(mem_cur_bytes) + " are charged");
+    mem_cur_triples -= triples;
+    mem_cur_bytes -= bytes;
   }
 
   [[nodiscard]] std::uint64_t bytes_network() const { return bytes_inter + bytes_intra; }

@@ -170,7 +170,8 @@ TEST(Summa2d, PinnedGridShapeMustFactorP) {
   auto a = erdos_renyi<double>(20, 2.0, 2);
   EXPECT_THROW(m.run([&](Comm& c) {
     auto da = DistMatrix1D<double>::from_global(c, a);
-    spgemm_summa_2d_dist(c, da, da, LocalKernel::Hybrid, 1, nullptr, /*grid_rows=*/4);
+    spgemm_split_3d_dist(c, da, da, /*layers=*/1, LocalKernel::Hybrid, 1, nullptr,
+                         /*grid_rows=*/4);
   }),
                std::invalid_argument);
 }
@@ -183,7 +184,7 @@ TEST(Summa2d, RejectsSliceWithUnsortedRows) {
   EXPECT_THROW(m.run([](Comm& c) {
     DcscMatrix<double> local(4, 4, {1}, {0, 2}, {3, 1}, {1.0, 2.0});
     DistMatrix1D<double> da(4, 4, {0, 4}, c.rank(), std::move(local));
-    spgemm_summa_2d_dist(c, da, da, LocalKernel::Hybrid, 1);
+    spgemm_split_3d_dist(c, da, da, /*layers=*/1, LocalKernel::Hybrid, 1);
   }),
                std::invalid_argument);
 }

@@ -349,6 +349,14 @@ TEST(DistPlanAuto, SingleMetadataAllgatherWhenAutoPicksSa1d) {
         << "clustered operands must dispatch to SA-1D for this regression";
     EXPECT_EQ(auto_build, cost_inputs + explicit_sa1d - meta_gather);
     EXPECT_LT(auto_build, cost_inputs + explicit_sa1d);
+
+    // The one-shot call runs the same dispatch, so it gathers the metadata
+    // once too.
+    b0 = coll_recv();
+    DistSpgemmStats one;
+    spgemm_dist(c, da, da, {}, &one);
+    ASSERT_EQ(one.chosen, Algo::SparseAware1D);
+    EXPECT_EQ(coll_recv() - b0, auto_build);
   });
 }
 
@@ -381,23 +389,26 @@ TEST(DistPlanSemiring, OrAndReachabilityReplaysAcrossBackends) {
 TEST(DistPlanCached, RebuildsOnStructureChangeAndReusesOnMatch) {
   auto pat1 = block_clustered<double>(128, 8, 4.0, 0.4, 61);
   auto pat2 = erdos_renyi<double>(128, 3.0, 62);  // different structure
-  Machine m(4);
-  DistSpgemmOptions opt;
-  opt.algo = Algo::Summa2D;
-  m.run([&](Comm& c) {
-    DistSpgemmPlan<double> plan;
-    const CscMatrix<double>* pats[] = {&pat1, &pat1, &pat2, &pat2, &pat1};
-    for (int t = 0; t < 5; ++t) {
-      auto cur = with_values(*pats[t], t);
-      auto dm = DistMatrix1D<double>::from_global(c, cur);
-      auto got = spgemm_dist_cached(c, plan, dm, dm, opt);
-      auto fresh = spgemm_dist(c, dm, dm, opt);
-      EXPECT_TRUE(got.local() == fresh.local()) << "iter " << t;
-    }
-    // Rebuilds at t=0, t=2, t=4; replays at t=1 and t=3.
-    EXPECT_EQ(plan.builds(), 3);
-    EXPECT_EQ(plan.replays(), 2);
-  });
+  for (Algo algo : {Algo::Summa2D, Algo::SparseAware1D}) {
+    SCOPED_TRACE(algo_name(algo));
+    Machine m(4);
+    DistSpgemmOptions opt;
+    opt.algo = algo;
+    m.run([&](Comm& c) {
+      DistSpgemmPlan<double> plan;
+      const CscMatrix<double>* pats[] = {&pat1, &pat1, &pat2, &pat2, &pat1};
+      for (int t = 0; t < 5; ++t) {
+        auto cur = with_values(*pats[t], t);
+        auto dm = DistMatrix1D<double>::from_global(c, cur);
+        auto got = spgemm_dist_cached(c, plan, dm, dm, opt);
+        auto fresh = spgemm_dist(c, dm, dm, opt);
+        EXPECT_TRUE(got.local() == fresh.local()) << "iter " << t;
+      }
+      // Rebuilds at t=0, t=2, t=4; replays at t=1 and t=3.
+      EXPECT_EQ(plan.builds(), 3);
+      EXPECT_EQ(plan.replays(), 2);
+    });
+  }
 }
 
 TEST(DistPlanCached, RebuildsOnOptionChange) {

@@ -397,21 +397,97 @@ TEST(DistSpgemmAuto, SparsityAdvantageFavorsSa1dOverRing) {
             cm.predict(in, Algo::Ring1D).total_s());
 }
 
-// ---- plan reuse through the front-end -------------------------------------
+// ---- one dispatch: the one-shot call and a fresh plan build agree ---------
 
-TEST(DistSpgemmCache, PlanPointerReplaysAcrossCalls) {
-  auto a = with_integer_values(erdos_renyi<double>(200, 5.0, 95), 8);
-  Machine m(4);
+/// Equal decision traces. A Partitioned row's reorder_s prices the measured
+/// partitioner CPU of its own call, so that one term is left out.
+void expect_same_predictions(const std::vector<AlgoPrediction>& x,
+                             const std::vector<AlgoPrediction>& y) {
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    SCOPED_TRACE("prediction " + std::to_string(i));
+    EXPECT_EQ(x[i].algo, y[i].algo);
+    EXPECT_EQ(x[i].feasible, y[i].feasible);
+    EXPECT_EQ(x[i].ordering, y[i].ordering);
+    EXPECT_EQ(x[i].layers, y[i].layers);
+    EXPECT_EQ(x[i].panels, y[i].panels);
+    EXPECT_EQ(x[i].peak_triples, y[i].peak_triples);
+    EXPECT_DOUBLE_EQ(x[i].comm_s, y[i].comm_s);
+    EXPECT_DOUBLE_EQ(x[i].comp_s, y[i].comp_s);
+    EXPECT_DOUBLE_EQ(x[i].other_s, y[i].other_s);
+    if (x[i].ordering != Ordering::Partitioned) {
+      EXPECT_DOUBLE_EQ(x[i].reorder_s, y[i].reorder_s);
+    }
+  }
+}
+
+TEST(DistSpgemmParity, OneShotMatchesFreshBuildInEveryCell) {
+  auto a = with_integer_values(block_clustered<double>(160, 8, 5.0, 0.5, 71), 72);
+  const int P = 4;
+  Machine m(P);
   m.run([&](Comm& c) {
     auto da = DistMatrix1D<double>::from_global(c, a);
-    SpgemmPlan1D<double> plan;
-    DistSpgemmOptions opt;
-    opt.algo = Algo::SparseAware1D;
-    auto c1 = spgemm_dist(c, da, da, opt, nullptr, &plan);
-    EXPECT_EQ(plan.executions(), 1);
-    auto c2 = spgemm_dist(c, da, da, opt, nullptr, &plan);
-    EXPECT_EQ(plan.executions(), 2);  // same structure: replayed, not rebuilt
-    EXPECT_TRUE(bit_equal(c1.gather(c), c2.gather(c)));
+    // Runs one cell both ways. A cell whose budget no panelization meets
+    // must fail identically on both paths.
+    auto check = [&](const DistSpgemmOptions& opt, const std::string& cell) {
+      SCOPED_TRACE(cell);
+      const auto builds = c.report().plan_builds;
+      DistSpgemmStats s1, s2;
+      DistMatrix1D<double> c1, c2;
+      std::string e1, e2;
+      try {
+        c1 = spgemm_dist(c, da, da, opt, &s1);
+      } catch (const ValidationError& e) {
+        e1 = e.what();
+      }
+      EXPECT_EQ(c.report().plan_builds, builds) << "a one-shot call counted a plan build";
+      DistSpgemmPlan<double> plan;
+      try {
+        c2 = plan.build(c, da, da, opt, &s2);
+      } catch (const ValidationError& e) {
+        e2 = e.what();
+      }
+      EXPECT_EQ(e1, e2);
+      if (!e1.empty() || !e2.empty()) return;
+      EXPECT_TRUE(c1.local() == c2.local()) << "results differ";
+      EXPECT_EQ(s1.chosen, s2.chosen);
+      EXPECT_EQ(s1.ordering, s2.ordering);
+      EXPECT_EQ(s1.layers, s2.layers);
+      EXPECT_EQ(s1.panels, s2.panels);
+      EXPECT_EQ(s1.inputs.batch, s2.inputs.batch);
+      expect_same_predictions(s1.predictions, s2.predictions);
+    };
+
+    // Budget anchor: 60% of SUMMA's unbudgeted peak, agreed across ranks.
+    DistSpgemmStats probe;
+    DistSpgemmOptions summa;
+    summa.algo = Algo::Summa2D;
+    spgemm_dist(c, da, da, summa, &probe);
+    const std::uint64_t budget = c.allreduce_max(probe.peak_triples) * 3 / 5 + 1;
+
+    for (Algo algo :
+         {Algo::Auto, Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+      for (Ordering ord :
+           {Ordering::Identity, Ordering::Random, Ordering::Partitioned, Ordering::Auto}) {
+        for (int mem = 0; mem < 3; ++mem) {
+          DistSpgemmOptions opt;
+          opt.algo = algo;
+          opt.reorder = ord;
+          if (mem == 1) opt.max_peak_triples = budget;
+          if (mem == 2) opt.panels = 3;
+          check(opt, std::string(algo_name(algo)) + " ordering " +
+                         std::to_string(static_cast<int>(ord)) + " memory cell " +
+                         std::to_string(mem));
+        }
+      }
+    }
+
+    DistSpgemmOptions batched;
+    batched.expected_batch = 8;
+    check(batched, "Auto expected_batch=8");
+    DistSpgemmStats st;
+    spgemm_dist(c, da, da, batched, &st);
+    EXPECT_EQ(st.inputs.batch, 8);
   });
 }
 

@@ -513,19 +513,26 @@ TEST(Fault, AutoDegradesToNextBackendOnVeto) {
   o.faults.actions.push_back(
       {.kind = FaultKind::BackendVeto, .veto_algo = static_cast<int>(clean[0])});
   Machine m(4, {}, o);
-  std::vector<DistSpgemmStats> st(4);
-  std::vector<int> match(4, 0);
-  m.run([&](Comm& c) {
-    auto da = DistMatrix1D<double>::from_global(c, a);
-    auto db = DistMatrix1D<double>::from_global(c, b);
-    auto got = spgemm_dist(c, da, db, opt, &st[static_cast<std::size_t>(c.rank())]);
-    match[static_cast<std::size_t>(c.rank())] = bit_equal(got.gather(c), want) ? 1 : 0;
-  });
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << r;
-    EXPECT_NE(st[static_cast<std::size_t>(r)].chosen, clean[0]) << r;       // degraded away
-    EXPECT_EQ(st[static_cast<std::size_t>(r)].chosen, st[0].chosen) << r;   // uniformly
-    EXPECT_GE(st[static_cast<std::size_t>(r)].validation_failovers, 1) << r;
+  // The one-shot call and a plan build walk the same degrade path.
+  for (bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "spgemm_dist_cached" : "spgemm_dist");
+    std::vector<DistSpgemmStats> st(4);
+    std::vector<int> match(4, 0);
+    m.run([&](Comm& c) {
+      auto da = DistMatrix1D<double>::from_global(c, a);
+      auto db = DistMatrix1D<double>::from_global(c, b);
+      auto& s = st[static_cast<std::size_t>(c.rank())];
+      DistSpgemmPlan<double> plan;
+      auto got = cached ? spgemm_dist_cached(c, plan, da, db, opt, &s)
+                        : spgemm_dist(c, da, db, opt, &s);
+      match[static_cast<std::size_t>(c.rank())] = bit_equal(got.gather(c), want) ? 1 : 0;
+    });
+    for (int r = 0; r < 4; ++r) {
+      EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << r;
+      EXPECT_NE(st[static_cast<std::size_t>(r)].chosen, clean[0]) << r;      // degraded away
+      EXPECT_EQ(st[static_cast<std::size_t>(r)].chosen, st[0].chosen) << r;  // uniformly
+      EXPECT_GE(st[static_cast<std::size_t>(r)].validation_failovers, 1) << r;
+    }
   }
 
   // Explicitly requesting the vetoed backend is a rank-consistent

@@ -257,6 +257,19 @@ TEST(Stats, PhaseScopesAccumulate) {
   }
 }
 
+TEST(Stats, MemReleaseBeyondTheChargeThrows) {
+  RankReport r;
+  r.mem_charge(3, 24);
+  r.mem_release(2, 16);
+  EXPECT_EQ(r.mem_cur_triples, 1u);
+  EXPECT_EQ(r.mem_cur_bytes, 8u);
+  EXPECT_THROW(r.mem_release(2, 8), std::logic_error);
+  EXPECT_THROW(r.mem_release(1, 16), std::logic_error);
+  r.mem_release(1, 8);  // exactly what is left
+  EXPECT_EQ(r.mem_cur_triples, 0u);
+  EXPECT_EQ(r.mem_cur_bytes, 0u);
+}
+
 TEST(Split, RowColumnGrids) {
   Machine m(6);  // 2x3 grid: row = rank/3, col = rank%3
   m.run([](Comm& c) {
