@@ -62,7 +62,7 @@ struct Breakdown {
 /// compute by nonblocking requests → overlap_s. The comm column is
 /// therefore the *waited* modeled time of all traffic, collective and RDMA
 /// alike — the seed mispriced collective waiting into `other`, which
-/// reported comm = 0 for the ring/2D/3D backends at small scale.
+/// reported comm = 0 for the 2D/3D backends at small scale.
 inline Breakdown modeled(const RunReport& rep, const CostModel& cm,
                          int threads_per_rank = 1) {
   Breakdown b;
@@ -143,7 +143,7 @@ inline void print_cache_counters(const char* label, const RunReport& rep) {
       label, static_cast<unsigned long long>(r.cache_hits),
       static_cast<unsigned long long>(r.cache_misses),
       static_cast<unsigned long long>(r.cache_evictions), mib(r.cache_bytes_resident));
-  const Algo algos[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+  const Algo algos[] = {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
   std::printf("  %-28s hits by backend:", "");
   for (Algo a : algos)
     std::printf(" %s %llu", algo_name(a),

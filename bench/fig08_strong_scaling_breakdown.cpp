@@ -1,7 +1,7 @@
 // Fig 8: strong-scaling per-rank breakdown of the sparsity-aware 1D
 // algorithm on hv15r-like squaring, extended across the unified spgemm_dist
-// backends: the same squaring through SA-1D, ring-1D, SUMMA-2D and
-// Split-3D, every one phase-accounted on the same runtime, so the per-rank
+// backends: the same squaring through SA-1D, SUMMA-2D and Split-3D, every
+// one phase-accounted on the same runtime, so the per-rank
 // comm/comp/plan/other spread is comparable apples-to-apples.
 //
 // --json[=PATH] writes the BENCH_dist_backends fragment: per-backend phase
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
     // lockstep_total_ms is the same run with its hidden comm counted as
     // waited (Breakdown::lockstep_total).
     std::vector<BackendRow> rows;
-    for (Algo algo : {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D})
+    for (Algo algo : {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D})
       rows.push_back(measure_backend(m, a, algo));
 
     std::FILE* f = std::fopen(json_path, "w");
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
   std::printf("  %-10s %9s %9s %9s %9s %9s %10s %6s %6s\n", "backend", "comm(ms)", "comp(ms)",
               "plan(ms)", "other(ms)", "total(ms)", "hidden(ms)", "eff", "imbal");
   Machine m16(16, cp);
-  for (Algo algo : {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+  for (Algo algo : {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D}) {
     auto row = measure_backend(m16, a, algo);
     std::printf("  %-10s %9.3f %9.3f %9.3f %9.3f %9.3f %10.3f %6.2f %6.2f\n", row.name.c_str(),
                 1e3 * row.bd.comm, 1e3 * row.bd.comp, 1e3 * row.bd.plan, 1e3 * row.bd.other,

@@ -1,6 +1,6 @@
 // Fig 9: strong scaling of the squaring operation across the unified
-// spgemm_dist backends — sparsity-aware 1D vs ring-1D vs 2D sparse SUMMA vs
-// Split-3D — on the four structured datasets plus the canonical ER and
+// spgemm_dist backends — sparsity-aware 1D vs 2D sparse SUMMA vs Split-3D —
+// on the four structured datasets plus the canonical ER and
 // RMAT shapes. All backends run 1D-in/1D-out through the same front-end on
 // the same runtime, so modeled times and comm volumes are apples-to-apples.
 // Paper result: 1D is up to an order of magnitude faster on hv15r/queen and
@@ -95,7 +95,7 @@ BackendMeasure measure(Machine& m, const CscMatrix<double>& a, Algo algo, int re
 std::vector<Algo> feasible(int P) {
   // Rectangular grids make SUMMA-2D runnable at every P; Split-3D needs a
   // non-degenerate layering (some 1 < c < P), which only primes lack.
-  std::vector<Algo> out{Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D};
+  std::vector<Algo> out{Algo::SparseAware1D, Algo::Summa2D};
   if (split3d_has_nontrivial_layers(P)) out.push_back(Algo::Split3D);
   return out;
 }
@@ -381,17 +381,12 @@ int main(int argc, char** argv) {
     for (int P : {4, 16, 64}) {
       Machine m(P, cp);
 
-      // Sparsity-aware 1D and ring-1D: original ordering, no permutation.
+      // Sparsity-aware 1D: original ordering, no permutation.
       {
         auto r = measure(m, a, Algo::SparseAware1D);
         double ms = 1e3 * r.bd.total();
         std::printf("%-13s %5d %-18s %12.2f %14.2f\n", dataset_name(d), P, "1D sparsity-aware",
                     ms, ms);
-      }
-      {
-        auto r = measure(m, a, Algo::Ring1D);
-        double ms = 1e3 * r.bd.total();
-        std::printf("%-13s %5d %-18s %12.2f %14.2f\n", dataset_name(d), P, "1D ring", ms, ms);
       }
 
       double perm_s = permutation_cost(m, a, perm);

@@ -43,7 +43,7 @@ int main() {
                     1e3 * bench::modeled(rep, m.cost()).total());
       }
       // The unified front-end's pick for the same multiply (cost-model Auto
-      // over SA-1D / ring / SUMMA / 3D; the outer product is AMG-specific
+      // over SA-1D / SUMMA / 3D; the outer product is AMG-specific
       // and stays outside the generic dispatcher).
       {
         DistSpgemmStats st;

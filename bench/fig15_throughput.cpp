@@ -9,8 +9,8 @@
 //
 // Also records the cache-side serving behavior: the hot/cold trace hit rate
 // (a warmed tenant set with a fraction of never-seen structures mixed in)
-// and two budget-constrained sections (grid plans and ring plans) where
-// eviction is forced.
+// and two budget-constrained sections (SUMMA-2D grid plans and SA-1D plans)
+// where eviction is forced.
 //
 // --json[=PATH] writes the BENCH_throughput fragment (CI smoke asserts
 // hot hit-rate >= 0.8 and the batch-8 fused speedup >= 1.5x at scale 1).
@@ -319,7 +319,7 @@ struct BackendRow {
 };
 
 std::vector<Algo> serving_backends(int P) {
-  std::vector<Algo> out{Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D};
+  std::vector<Algo> out{Algo::SparseAware1D, Algo::Summa2D};
   if (split3d_has_nontrivial_layers(P)) out.push_back(Algo::Split3D);
   out.push_back(Algo::Auto);
   return out;
@@ -343,7 +343,7 @@ void run_json(const char* json_path) {
   Machine mh(P, cp);
   auto hot = measure_hot_cold(mh, tenants, 64);
   auto evict = measure_eviction(P, cp, tenants, Algo::Summa2D);
-  auto evict_ring = measure_eviction(P, cp, tenants, Algo::Ring1D);
+  auto evict_sa1d = measure_eviction(P, cp, tenants, Algo::SparseAware1D);
 
   // Headline: the best batch-8 fused speedup across serving backends (the
   // deployment picks the backend that fuses best for its tenants).
@@ -392,7 +392,7 @@ void run_json(const char* json_path) {
                static_cast<unsigned long long>(hot.hits),
                static_cast<unsigned long long>(hot.misses), hot.hit_rate());
   print_eviction_json(f, "eviction", Algo::Summa2D, evict);
-  print_eviction_json(f, "eviction_ring1d", Algo::Ring1D, evict_ring);
+  print_eviction_json(f, "eviction_sa1d", Algo::SparseAware1D, evict_sa1d);
   std::fprintf(f,
                "  \"hot_hit_rate\": %.4f, \"speedup_batch8\": %.3f, "
                "\"speedup_batch8_backend\": \"%s\", \"all_bit_identical\": %s\n}\n",
@@ -445,7 +445,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(hot.misses), hot.hit_rate());
   bench::print_cache_counters("hot/cold trace", hot.rep);
   bench::print_peak_memory("hot/cold trace", hot.rep);
-  for (Algo algo : {Algo::Summa2D, Algo::Ring1D}) {
+  for (Algo algo : {Algo::Summa2D, Algo::SparseAware1D}) {
     auto evict = measure_eviction(P, cp, tenants, algo);
     std::printf("eviction @%0.f%% budget (%s): %llu evictions, resident %.2f/%.2f MiB, %s\n",
                 100.0 * 3 / 5, algo_name(algo), static_cast<unsigned long long>(evict.evictions),

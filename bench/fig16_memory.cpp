@@ -141,8 +141,7 @@ struct BackendRow {
 };
 
 constexpr double kFracs[] = {0.75, 0.5, 0.25};
-constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D,
-                              Algo::Split3D};
+constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 
 void emit_json(const char* path, const std::vector<BackendRow>& rows, const Cell& auto_cell,
                const RunResult& auto_r, int P) {

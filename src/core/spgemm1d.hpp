@@ -65,7 +65,7 @@ struct Spgemm1dOptions {
   bool sparsity_aware = true;
 
   /// Every field influences the cached plan, so plan-reusing callers
-  /// (spgemm_1d_cached) compare whole option sets to decide replans.
+  /// (spgemm_dist_cached) compare whole option sets to decide replans.
   friend bool operator==(const Spgemm1dOptions&, const Spgemm1dOptions&) = default;
 };
 
@@ -446,7 +446,7 @@ class SpgemmPlan1D {
       require(matches_local(a, b),
               "SpgemmPlan1D::execute: operand structure does not match the plan fingerprint "
               "(iterated callers should decide replan-vs-reuse with the collective matches(), "
-              "or use spgemm_1d_cached)");
+              "or use spgemm_dist_cached)");
     }
     return execute_verified(comm, a, b, info_out);
   }
@@ -454,8 +454,8 @@ class SpgemmPlan1D {
   /// Executor without the O(nnz) hash re-check. Precondition: the operand
   /// pair was just verified against this plan — a successful collective
   /// matches() this iteration, or the plan was built from these operands
-  /// (spgemm_1d and spgemm_1d_cached call this). Only the O(1) fingerprint
-  /// fields are re-validated. A replay of one member (see replay()).
+  /// (spgemm_1d and the distributed plan's dispatch call this). Only the
+  /// O(1) fingerprint fields are re-validated. A replay of one member (see replay()).
   DistMatrix1D<VT> execute_verified(Comm& comm, const DistMatrix1D<VT>& a,
                                     const DistMatrix1D<VT>& b,
                                     Spgemm1dInfo* info_out = nullptr) {
@@ -713,8 +713,8 @@ class SpgemmPlan1D {
 };
 
 /// The sparsity-aware 1D SpGEMM (paper Algorithm 1). Collective. One-shot
-/// plan-then-execute over SpgemmPlan1D; iterated callers should hold the
-/// plan and call execute() per iteration instead.
+/// plan-then-execute over SpgemmPlan1D; iterated callers hold a
+/// DistSpgemmPlan and call spgemm_dist_cached instead.
 /// Phase accounting: inspector work (metadata, masks, fetch planning,
 /// symbolic) → Plan; value assembly + output DCSC assembly → Other; the
 /// numeric local multiply → Comp; window gets → RDMA counters.
@@ -725,25 +725,6 @@ DistMatrix1D<VT> spgemm_1d(Comm& comm, const DistMatrix1D<VT>& a, const DistMatr
   auto c = plan.execute_verified(comm, a, b, info_out);
   if (info_out != nullptr) info_out->rdma_calls += plan.plan_rdma_calls();
   return c;
-}
-
-/// Iterated-caller entry point: reuses `plan` when every rank's operand
-/// structure still matches it (one collective check), rebuilds it
-/// otherwise, then executes. The full fingerprint is verified exactly once
-/// per call — either by matches() or by the fresh build — so the executor
-/// skips its own O(nnz) re-hash. The empty()/matches() decision is uniform
-/// across ranks, which keeps the replan collective deadlock-free. The app
-/// loops (MCL rounds, BC levels, AMG setup refreshes) all go through this.
-template <typename VT, typename SR>
-DistMatrix1D<VT> spgemm_1d_cached(Comm& comm, SpgemmPlan1D<VT, SR>& plan,
-                                  const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                  const Spgemm1dOptions& opt = {},
-                                  Spgemm1dInfo* info_out = nullptr) {
-  // An option change invalidates the plan just like a structure change:
-  // every option field shapes the fetch plan or the local pass.
-  if (plan.empty() || plan.options() != opt || !plan.matches(comm, a, b))
-    plan = SpgemmPlan1D<VT, SR>(comm, a, b, opt);
-  return plan.execute_verified(comm, a, b, info_out);
 }
 
 /// The paper's §V advisor: planned RDMA volume over the full size of A

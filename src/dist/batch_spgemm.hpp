@@ -2,7 +2,7 @@
 // against the multi-tenant plan cache (runtime/plan_cache.hpp) and replays
 // the hits in groups through DistSpgemmPlan::replay_group, whose backend
 // executors fuse the group's per-phase collectives — one concatenated
-// alltoallv per ring hop / grid route exchange instead of k, one fused
+// alltoallv per grid route exchange instead of k, one fused
 // row/column broadcast per SUMMA stage, one interleaved RDMA fetch wave (and
 // one barrier) for the whole SA-1D group — so k small multiplies pay ~1× the
 // per-message latency (alpha) per phase instead of k×, while each member's
@@ -21,7 +21,8 @@
 // state, so the collective sequence is identical machine-wide. Members are
 // grouped by DistSpgemmPlan::group_key() (backend + grid shape + layer
 // count); a plan may appear at most once per group (members of the same
-// tenant share scratch), and panelized or budgeted ring plans replay solo.
+// tenant share scratch), and panelized plans replay solo. The batch's one
+// fused validation exchange covers its misses' builds too.
 // A recoverable fault (CorruptionDetected / PlanMismatch) during the batch
 // unwinds every rank identically; the batch-level retry drops the touched
 // entries, recovers collectively, and re-runs the whole batch as uniform
@@ -151,8 +152,8 @@ std::vector<DistMatrix1D<VT>> spgemm_dist_batched(
       // member's own result — the fresh multiply IS its execution).
       for (auto i : miss_items) {
         Entry& e = *entries[i];
-        results[i] = e.plan->build(comm, *items[i].first, *items[i].second, opt,
-                                   stats != nullptr ? &(*stats)[i] : nullptr);
+        results[i] = e.plan->build_validated(comm, *items[i].first, *items[i].second, opt,
+                                             stats != nullptr ? &(*stats)[i] : nullptr);
         e.bytes = cachedetail::agree_max_bytes(comm, e.plan->bytes_resident());
         cache.record_miss(comm);
         if (stats != nullptr) (*stats)[i].cache_misses = 1;

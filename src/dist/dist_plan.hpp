@@ -5,8 +5,6 @@
 //
 //   SA-1D     the SpgemmPlan1D inspector (metadata, H∩D masks, fetch plan,
 //             Ã/B̃ shells, symbolic result);
-//   ring-1D   every hop's slice structure + the deterministic ⊕-merge
-//             program (RingPlan);
 //   SUMMA-2D  the 1D→grid alltoallv routes, the per-stage broadcast-block
 //             shells + symbolic results, and the partial-C→1D
 //             scatter/merge program (GridPlan);
@@ -22,7 +20,10 @@
 // exists once (DistSpgemmPlan::dispatch). build() runs it with capture,
 // handing each backend the plan's storage; the one-shot spgemm_dist, also
 // defined here, runs it without capture on a throwaway plan that stores no
-// backend program, routes, hashes or fingerprint and counts no build.
+// backend program, routes, hashes or fingerprint and counts no build. The
+// collective input validation runs once per top-level call, at the public
+// entries (spgemm_dist, build, spgemm_dist_cached, spgemm_dist_batched);
+// the dispatch and its panel sub-dispatches never repeat it.
 //
 // execute() replays the cached program for any operand pair with matching
 // structure: only values move (value alltoallvs, value broadcasts, value
@@ -32,7 +33,7 @@
 // backend through that backend's single executor with fused collectives;
 // execute() is a group of one.
 // spgemm_dist_cached() is the iterated-caller entry point (one collective
-// match vote per call decides replay-vs-rebuild, like spgemm_1d_cached).
+// match vote per call decides replay-vs-rebuild).
 // DESIGN.md §8 documents the layer.
 #pragma once
 
@@ -162,7 +163,6 @@ class DistSpgemmPlan {
     switch (chosen_) {
       case Algo::Auto: break;
       case Algo::SparseAware1D: break;  // replay is RDMA value gets only
-      case Algo::Ring1D: bytes = ring_.replay_recv_bytes(); break;
       case Algo::Summa2D:
       case Algo::Split3D: bytes = grid_.replay_recv_bytes(me_); break;
     }
@@ -181,15 +181,13 @@ class DistSpgemmPlan {
 
   /// Byte-accurate residency of the cached replay program on this rank —
   /// what the plan cache (runtime/plan_cache.hpp) accounts against its
-  /// budget. A RingPlan is the heavyweight: ≈nnz(A) resident indices. An
-  /// ordered plan additionally holds the permuted operands, the C template,
-  /// the three value routes, and the permutation itself.
+  /// budget. An ordered plan additionally holds the permuted operands, the
+  /// C template, the three value routes, and the permutation itself.
   [[nodiscard]] std::uint64_t bytes_resident() const {
     std::uint64_t bytes = 0;
     switch (chosen_) {
       case Algo::Auto: break;
       case Algo::SparseAware1D: bytes = sa1d_.bytes_resident(); break;
-      case Algo::Ring1D: bytes = ring_.bytes_resident(); break;
       case Algo::Summa2D:
       case Algo::Split3D: bytes = grid_.bytes_resident(); break;
     }
@@ -211,15 +209,12 @@ class DistSpgemmPlan {
   /// Key of the replay groups this plan may join: plans with equal
   /// non-empty keys share a backend, grid shape and layer count, so
   /// replay_group can run them together. Empty when the plan replays
-  /// alone: a panelized plan is a sequence of per-panel sub-plan replays,
-  /// and a budgeted ring plan would hold every member's slice at once,
-  /// which the peak model does not price.
+  /// alone: a panelized plan is a sequence of per-panel sub-plan replays.
   [[nodiscard]] std::string group_key() const {
     if (!built_ || panels_ > 1) return {};
     switch (chosen_) {
       case Algo::Auto: break;
       case Algo::SparseAware1D: return "sa1d";
-      case Algo::Ring1D: return opt_.max_peak_triples > 0 ? std::string() : "ring1d";
       case Algo::Summa2D:
       case Algo::Split3D:
         return std::string(algo_name(chosen_)) + ":" + std::to_string(grid_.layers) + ":" +
@@ -249,29 +244,39 @@ class DistSpgemmPlan {
     return comm.allreduce(ok, [](int x, int y) { return x < y ? x : y; }) == 1;
   }
 
-  /// Inspector + first execute (collective): runs the dispatch with
-  /// capture — the fresh multiply through the chosen backend while keeping
-  /// its value-only replay program — and fingerprints the operands.
-  /// Replaces any previous plan state.
+  /// Inspector + first execute (collective): validates the inputs, then
+  /// runs the dispatch with capture — the fresh multiply through the chosen
+  /// backend while keeping its value-only replay program — and
+  /// fingerprints the operands. Replaces any previous plan state.
   DistMatrix1D<VT> build(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
                          const DistSpgemmOptions& opt = {}, DistSpgemmStats* stats = nullptr) {
+    distdetail::validate_collective(comm, a, b, opt);
+    return build_validated(comm, a, b, opt, stats);
+  }
+
+  /// build() without the validation exchange. Precondition: this top-level
+  /// call already ran validate_collective on these operands and options
+  /// (spgemm_dist_cached, spgemm_dist_batched).
+  DistMatrix1D<VT> build_validated(Comm& comm, const DistMatrix1D<VT>& a,
+                                   const DistMatrix1D<VT>& b, const DistSpgemmOptions& opt,
+                                   DistSpgemmStats* stats = nullptr) {
     return dispatch(comm, a, b, opt, stats, /*capture=*/true);
   }
 
  private:
-  /// The one dispatch (collective) behind build() and spgemm_dist, in order:
-  /// ordering-policy resolution, the cost-input gather, the reorder plan,
-  /// the joint (backend × ordering) decision, the operand permutes, panel
-  /// resolution and the panel loop, Auto's degrade walk, and the inverse
-  /// permute of C. The decision and its trace land in this plan either way.
-  /// `capture` also keeps the replay program — each backend is handed the
-  /// plan's storage (SpgemmPlan1D, RingPlan*, GridPlan*, the PermuteRoute*s)
-  /// or nothing, as its own entry point takes it — plus the operand value
+  /// The one dispatch (collective) behind build() and spgemm_dist, run on
+  /// inputs the caller already validated, in order: ordering-policy
+  /// resolution, the cost-input gather, the reorder plan, the joint
+  /// (backend × ordering) decision, the operand permutes, panel resolution
+  /// and the panel loop, Auto's degrade walk, and the inverse permute of C.
+  /// The decision and its trace land in this plan either way. `capture`
+  /// also keeps the replay program — each backend is handed the plan's
+  /// storage (SpgemmPlan1D, GridPlan*, the PermuteRoute*s) or nothing, as
+  /// its own entry point takes it — plus the operand value
   /// hashes, the C template and the fingerprint, and counts a plan build.
   /// Without capture the plan stays empty() (the one-shot spgemm_dist).
   DistMatrix1D<VT> dispatch(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
                             const DistSpgemmOptions& opt, DistSpgemmStats* stats, bool capture) {
-    distdetail::validate_collective(comm, a, b, opt);
     // Per-call high-water gauge: outermost scope of the turn resets the
     // peak; panel sub-calls nest and roll their charges up.
     MemGaugeScope gauge(comm.report());
@@ -392,8 +397,6 @@ class DistSpgemmPlan {
           sa1d_ = have_meta ? SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d, std::move(meta))
                             : SpgemmPlan1D<VT, SR>(comm, *ra, *rb, opt.sa1d);
           return sa1d_.execute_verified(comm, *ra, *rb);
-        case Algo::Ring1D:
-          return spgemm_naive_ring_1d<SR>(comm, *ra, *rb, capture ? &ring_ : nullptr);
         case Algo::Summa2D:
         case Algo::Split3D:
           return spgemm_split_3d_dist<SR>(comm, *ra, *rb, which == Algo::Split3D ? lyr : 1,
@@ -564,11 +567,11 @@ class DistSpgemmPlan {
   /// The replay (collective): runs k built plans with equal non-empty
   /// group_key() — or one plan of any kind — through their backend's single
   /// executor, which fuses the group's collectives (one RDMA fetch wave for
-  /// SA-1D, one alltoallv per ring hop, one alltoallv per grid route and one
-  /// broadcast pair per SUMMA stage). Per member, in member order, it first
-  /// runs the ordering prologue (the value-hash vote and, when the values
-  /// changed, the forward value routes onto the permuted operands); after
-  /// the executor it runs the inverse scatter back to the caller's
+  /// SA-1D, one alltoallv per grid route and one broadcast pair per SUMMA
+  /// stage). Per member, in member order, it first runs the ordering
+  /// prologue (the value-hash vote and, when the values changed, the
+  /// forward value routes onto the permuted operands); after the executor
+  /// it runs the inverse scatter back to the caller's
   /// ordering, the replay counters and the stats. Each member's result is
   /// bit-identical to its fresh build whatever the group. Every member
   /// reports the measurements of the whole group (its peak, comm time and
@@ -610,13 +613,6 @@ class DistSpgemmPlan {
           for (std::size_t m = 0; m < k; ++m)
             rs.push_back({&ms[m].plan->sa1d_, ops[m].first, ops[m].second});
           cs = SpgemmPlan1D<VT, SR>::replay(comm, rs);
-          break;
-        }
-        case Algo::Ring1D: {
-          std::vector<RingReplay<VT, SR>> rs;
-          for (std::size_t m = 0; m < k; ++m)
-            rs.push_back({&ms[m].plan->ring_, ops[m].first, ops[m].second});
-          cs = spgemm_naive_ring_1d_replay<SR, VT>(comm, rs);
           break;
         }
         case Algo::Summa2D:
@@ -792,7 +788,6 @@ class DistSpgemmPlan {
   // Exactly one of these is populated, per chosen_ (grid_ serves both
   // SUMMA-2D and Split-3D).
   SpgemmPlan1D<VT, SR> sa1d_;
-  RingPlan<VT, SR> ring_;
   GridPlan<VT, SR> grid_;
 
   // Panelized plans (panels_ > 1, DESIGN.md §13): the backend members above
@@ -807,23 +802,21 @@ class DistSpgemmPlan {
 template <typename SRIn, typename VT>
 DistMatrix1D<VT> spgemm_dist(Comm& comm, const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
                              const DistSpgemmOptions& opt, DistSpgemmStats* stats) {
+  distdetail::validate_collective(comm, a, b, opt);
   DistSpgemmPlan<VT, ResolveSemiring<SRIn, VT>> once;
   return once.dispatch(comm, a, b, opt, stats, /*capture=*/false);
 }
 
-/// Iterated-caller entry point over any backend: reuses `plan` when every
-/// rank's operand structure still matches it and the options are unchanged
-/// (one collective vote — 4 bytes/rank — keeps the replay-vs-rebuild branch
-/// uniform and deadlock-free), rebuilds otherwise. The app loops (MCL
-/// rounds, BC levels, AMG setup refreshes) all go through this; the replay
-/// moves only values whichever backend the plan holds, and under Algo::Auto
-/// the cached cost decision short-circuits the metadata re-gather entirely.
-template <typename SRIn = void, typename VT>
-DistMatrix1D<VT> spgemm_dist_cached(Comm& comm,
-                                    DistSpgemmPlan<VT, ResolveSemiring<SRIn, VT>>& plan,
-                                    const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
-                                    const DistSpgemmOptions& opt = {},
-                                    DistSpgemmStats* stats = nullptr) {
+namespace distdetail {
+
+/// The body of spgemm_dist_cached. `validated` says the caller already ran
+/// this call's validate_collective (spgemm_dist_cached_mt validates before
+/// its cache vote), so the first attempt skips it; a retry after a
+/// recovery validates again.
+template <typename VT, typename SR>
+DistMatrix1D<VT> cached_call(Comm& comm, DistSpgemmPlan<VT, SR>& plan, const DistMatrix1D<VT>& a,
+                             const DistMatrix1D<VT>& b, const DistSpgemmOptions& opt,
+                             DistSpgemmStats* stats, bool validated) {
   // Self-healing replay (recovery policy, DESIGN.md §9): a recoverable
   // fault — CorruptionDetected from integrity mode, PlanMismatch from a
   // replay guard — unwinds every rank with the identical typed error; all
@@ -844,12 +837,13 @@ DistMatrix1D<VT> spgemm_dist_cached(Comm& comm,
       // validation exchange (panelized plans skew rank progress enough to
       // hit this), and surfacing that Corruption here instead of joining
       // recover() would strand the peers' rendezvous until the watchdog.
-      distdetail::validate_collective(comm, a, b, opt);
+      if (!validated) validate_collective(comm, a, b, opt);
+      validated = false;
       DistMatrix1D<VT> c;
       if (!plan.empty() && plan.options() == opt && plan.matches(comm, a, b)) {
         c = plan.execute_verified(comm, a, b, stats);
       } else {
-        c = plan.build(comm, a, b, opt, stats);
+        c = plan.build_validated(comm, a, b, opt, stats);
       }
       if (stats != nullptr) stats->recoveries = attempts;
       return c;
@@ -859,11 +853,30 @@ DistMatrix1D<VT> spgemm_dist_cached(Comm& comm,
       if (!recoverable || attempts >= opt.max_recovery_retries) throw;
       ++attempts;
       comm.recover();  // collective; rethrows if the fault turned fatal
-      distdetail::vote_recovery_alignment(comm, "spgemm_dist_cached");
+      vote_recovery_alignment(comm, "spgemm_dist_cached");
       plan.invalidate();
       ++comm.report().plan_recoveries;
     }
   }
+}
+
+}  // namespace distdetail
+
+/// Iterated-caller entry point over any backend: reuses `plan` when every
+/// rank's operand structure still matches it and the options are unchanged
+/// (one collective vote — 4 bytes/rank — keeps the replay-vs-rebuild branch
+/// uniform and deadlock-free), rebuilds otherwise. The app loops (MCL
+/// rounds, BC levels, AMG setup refreshes) all go through this; the replay
+/// moves only values whichever backend the plan holds, and under Algo::Auto
+/// the cached cost decision short-circuits the metadata re-gather entirely.
+/// Validates once per attempt; a rebuild does not validate again.
+template <typename SRIn = void, typename VT>
+DistMatrix1D<VT> spgemm_dist_cached(Comm& comm,
+                                    DistSpgemmPlan<VT, ResolveSemiring<SRIn, VT>>& plan,
+                                    const DistMatrix1D<VT>& a, const DistMatrix1D<VT>& b,
+                                    const DistSpgemmOptions& opt = {},
+                                    DistSpgemmStats* stats = nullptr) {
+  return distdetail::cached_call(comm, plan, a, b, opt, stats, /*validated=*/false);
 }
 
 }  // namespace sa1d

@@ -1,10 +1,10 @@
 // The unified distributed SpGEMM front-end: one entry point over the
-// sparsity-aware 1D algorithm (paper Algorithm 1), the naive ring-1D
-// baseline, 2D sparse SUMMA, and Split-3D. Every backend takes 1D
-// column-distributed operands and returns C in B's column distribution
-// (the 2D/3D backends redistribute through dist/redistribute.hpp), so the
-// paper's comparative experiments — and the applications — can switch
-// algorithms with one enum.
+// sparsity-aware 1D algorithm (paper Algorithm 1), 2D sparse SUMMA, and
+// Split-3D. Every backend takes 1D column-distributed operands and returns
+// C in B's column distribution (the 2D/3D backends redistribute through
+// dist/redistribute.hpp), so the paper's comparative experiments — and the
+// applications — can switch algorithms with one enum. The sparsity-oblivious
+// 1D comparison point is Spgemm1dOptions::sparsity_aware = false.
 //
 // Algo::Auto gathers cheap structural statistics (replicated metadata from
 // the inspector's Algorithm 2 machinery: nnz, nzc, needed-fraction, planned
@@ -27,7 +27,6 @@
 
 #include "core/spgemm1d.hpp"
 #include "dist/col_panels.hpp"
-#include "dist/naive1d.hpp"
 #include "dist/spgemm3d.hpp"
 #include "dist/summa2d.hpp"
 #include "part/permutation.hpp"
@@ -86,11 +85,11 @@ struct DistSpgemmOptions {
   /// §13): the per-rank high-water RankReport::peak_triples gauge of one
   /// call must stay under this. 0 = unbounded (the pre-budget behavior).
   /// A positive budget switches every backend to its bounded variant
-  /// (streaming rounds-merges, a bounded SUMMA stage window, ring plans that
-  /// replay alone) and makes the dispatch resolve a column panelization whose
-  /// modeled peak fits — or raise a rank-uniform ValidationError when none
-  /// does. Part of the collective options digest: divergent budgets across
-  /// ranks fail validation before any data collective.
+  /// (streaming rounds-merges, a bounded SUMMA stage window) and makes the
+  /// dispatch resolve a column panelization whose modeled peak fits — or
+  /// raise a rank-uniform ValidationError when none does. Part of the
+  /// collective options digest: divergent budgets across ranks fail
+  /// validation before any data collective.
   std::uint64_t max_peak_triples = 0;
   /// Column-panel count: 0 = resolve from the budget (1 when unbudgeted,
   /// else the smallest feasible count); 1 = pinned monolithic; k > 1 = run
@@ -331,7 +330,6 @@ inline Algo choose_algo(const CostModel& cm, AlgoCostInputs in, int layers_opt, 
 
   in.layers = 1;
   preds.push_back(price(in, Algo::SparseAware1D));
-  preds.push_back(price(in, Algo::Ring1D));
   preds.push_back(price(in, Algo::Summa2D));
 
   // Split-3D: try every non-trivial layering (c = 1 is SUMMA) and keep the

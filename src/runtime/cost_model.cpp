@@ -297,12 +297,6 @@ std::uint64_t modeled_peak_triples(const AlgoCostInputs& in, Algo algo, int k) {
       // slice is resident whole regardless.
       peak = 1.2 * (mna + (mnb + mfe) / keff);
       break;
-    case Algo::Ring1D:
-      // The circulating A slice is doubled at each shift (the arriving
-      // slice is charged before the outgoing one is released) and
-      // re-circulates whole once per panel; only the accumulator shrinks.
-      peak = 2.4 * mna + 2.0 * mrf / keff;
-      break;
     case Algo::Summa2D:
     case Algo::Split3D: {
       const int layers = algo == Algo::Split3D ? in.layers : 1;
@@ -405,19 +399,6 @@ AlgoPrediction CostModel::predict(const AlgoCostInputs& in_raw, Algo algo) const
       break;
     }
 
-    case Algo::Ring1D: {
-      pr.feasible = true;
-      // Every A slice visits every rank: (P-1) hops of ~nnz_a/P triples.
-      pr.comm_s = alpha * (P - 1.0) + beta * trip * nnz_a * (P - 1.0) / P;
-      pr.comp_coeff = static_cast<double>(in.max_rank_flops) / threads;
-      // The accumulator holds one partial triple per flop until the final
-      // canonicalize (full triple rate: sort + merge); the per-hop column
-      // regrouping only *scans* the circulating slice (≈ nnz_a per rank
-      // over all hops), which costs about a quarter of the sort rate.
-      pr.other_coeff = flops / P + nnz_a / 4.0;
-      break;
-    }
-
     case Algo::Summa2D: {
       const GridTerms t = grid_terms(in, 1, p_.imb_scale);
       if (!t.ok) {
@@ -500,12 +481,6 @@ AlgoPrediction CostModel::predict(const AlgoCostInputs& in_raw, Algo algo) const
           pr.other_coeff += (kd - 1.0) * nnz_b / P;
           break;
         }
-        case Algo::Ring1D:
-          // A re-circulates whole once per panel: both the hop latency and
-          // the shift volume scale with k, as does the per-hop column scan.
-          pr.comm_s *= kd;
-          pr.other_coeff += (kd - 1.0) * nnz_a / 4.0;
-          break;
         case Algo::Summa2D:
         case Algo::Split3D: {
           const GridTerms t =
@@ -586,20 +561,6 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
       pr.other_coeff = (static_cast<double>(in.sa1d_fetch_elems) + nnz_b + cnnz_est) / P;
       break;
     }
-    case Algo::Ring1D: {
-      // Hops shift bare value arrays; the merge replays the cached ⊕-fold
-      // program (no per-hop regrouping, no sort). The numeric side is not
-      // flops-only, though: each of the P−1 hop multiplies re-walks its
-      // cached A-slice structure against the local B column map, so over a
-      // full rotation the rank touches (P−1)/P of A's triples — a scan
-      // over precomputed indices, priced at the quarter triple rate like
-      // the inverse-scatter unpack below. Without this term iterated
-      // pricing undersells the ring's per-replay cost by ~35% and Auto
-      // picks it over a measured-faster partitioned SA-1D at MCL horizons.
-      pr.comm_s = alpha * (P - 1.0) + beta * vb * nnz_a * (P - 1.0) / P;
-      pr.other_coeff = flops / P + nnz_a * (P - 1.0) / (4.0 * P);
-      break;
-    }
     case Algo::Summa2D:
     case Algo::Split3D: {
       // Same element volumes and latency as the one-shot prediction, but
@@ -626,10 +587,6 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
         pr.other_coeff += (kd - 1.0) * nnz_b / P;
         break;
       }
-      case Algo::Ring1D:
-        pr.comm_s *= kd;
-        pr.other_coeff += (kd - 1.0) * nnz_a * (P - 1.0) / (4.0 * P);
-        break;
       case Algo::Summa2D:
       case Algo::Split3D: {
         const GridTerms t =
@@ -650,8 +607,8 @@ AlgoPrediction CostModel::predict_replay(const AlgoCostInputs& in_raw, Algo algo
     // Permuted plans return C in the caller's original ordering every call:
     // one value-only inverse-scatter round (cached route, bare values).
     // Regular execution comm, not reorder. The unpack walks precomputed
-    // slot indices — a scan, not a sort/route — so like Ring1D's per-hop
-    // regrouping it costs about a quarter of the triple rate.
+    // slot indices — a scan, not a sort/route — so it costs about a
+    // quarter of the triple rate.
     pr.comm_s += alpha * (P - 1.0) + beta * vb * cnnz_est / P;
     pr.other_coeff += cnnz_est / (4.0 * P);
   }

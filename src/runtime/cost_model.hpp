@@ -50,14 +50,13 @@ bool load_cost_params(const char* path, CostParams& p);
 CostParams cost_params_from_env(CostParams base);
 
 /// The distributed SpGEMM backends spgemm_dist dispatches over. Auto asks
-/// CostModel::predict to rank the concrete four and runs the winner.
-enum class Algo { Auto, SparseAware1D, Ring1D, Summa2D, Split3D };
+/// CostModel::predict to rank the concrete three and runs the winner.
+enum class Algo { Auto, SparseAware1D, Summa2D, Split3D };
 
 inline const char* algo_name(Algo a) {
   switch (a) {
     case Algo::Auto: return "auto";
     case Algo::SparseAware1D: return "sa1d";
-    case Algo::Ring1D: return "ring1d";
     case Algo::Summa2D: return "summa2d";
     case Algo::Split3D: return "split3d";
   }

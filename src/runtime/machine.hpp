@@ -312,28 +312,6 @@ class Comm {
     return recv;
   }
 
-  /// Broadcast from `root`: non-roots resize and receive.
-  template <typename T>
-  void bcast(std::vector<T>& data, int root) {
-    const std::uint64_t op = begin_op("bcast");
-    if (rank_ == root) {
-      publish(data.data(), data.size() * sizeof(T));
-      for (int p = 0; p < size(); ++p)
-        if (p != root) record_send(p, data.size() * sizeof(T));
-    }
-    sync();
-    if (rank_ != root) {
-      const auto& b = sh_->slots[static_cast<std::size_t>(root)];
-      data.resize(b.bytes / sizeof(T));
-      if (b.bytes > 0) {
-        std::memcpy(data.data(), b.ptr, b.bytes);
-        post_copy("bcast", op, root, b.ptr, data.data(), b.bytes, /*rdma=*/false);
-      }
-      record_recv(root, b.bytes);
-    }
-    sync();
-  }
-
   template <typename T, typename Op>
   T allreduce(const T& mine, Op op) {
     auto all = allgather(mine);
@@ -491,9 +469,7 @@ class Comm {
   }
 
   /// Nonblocking personalized all-to-all: send[i] goes to rank i. The send
-  /// table is *moved* into the op-owned record (sent_chunk() on the returned
-  /// handle keeps a stable view of what was sent — the ring backend
-  /// multiplies from the slice it just shifted away); each source's chunk is
+  /// table is *moved* into the op-owned record; each source's chunk is
   /// retrieved with take_from(), so a caller can fold chunks in a
   /// deterministic order while later ones are still in flight. Counters
   /// mirror alltoallv() exactly (empty chunks move no message).
@@ -674,8 +650,7 @@ class Comm {
   /// finisher unlinks the record. An op only reaches finished == n after
   /// every rank issued and completed it, so an unlink can never race a
   /// late issuer re-creating the same sequence; participants still holding
-  /// the shared_ptr keep the payload alive (sent_chunk views stay valid
-  /// until their request handle dies).
+  /// the shared_ptr keep the payload alive.
   void async_finish(std::uint64_t seq, const std::shared_ptr<detail::AsyncOp>& op) {
     bool last = false;
     {
@@ -753,13 +728,6 @@ class AlltoallvRequest {
   AlltoallvRequest& operator=(const AlltoallvRequest&) = delete;
   AlltoallvRequest(AlltoallvRequest&&) = default;
   AlltoallvRequest& operator=(AlltoallvRequest&&) = default;
-
-  /// Stable view of this rank's outgoing chunk to `dst` (op-owned memory;
-  /// valid while this request handle is alive).
-  [[nodiscard]] std::span<const T> sent_chunk(int dst) const {
-    const auto& chunk = (*mine_)[static_cast<std::size_t>(dst)];
-    return std::span<const T>(chunk.data(), chunk.size());
-  }
 
   /// Blocks until source `src` published, then returns the chunk it
   /// addressed to this rank. Each source may be taken exactly once.

@@ -254,10 +254,11 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// Multi-tenant serving entry point: one collective coherence vote, then a
-/// cache hit replays the tenant's plan (through spgemm_dist_cached, so the
-/// self-healing retry loop is shared) and a miss admits + builds + runs the
-/// byte-budget eviction pass. Results are identical to calling
+/// Multi-tenant serving entry point: one validation exchange and one
+/// collective coherence vote, then a cache hit replays the tenant's plan
+/// (through spgemm_dist_cached's body, so the self-healing retry loop is
+/// shared) and a miss admits + builds + runs the byte-budget eviction
+/// pass. Results are identical to calling
 /// spgemm_dist_cached with a per-tenant plan the caller keeps alive.
 template <typename SRIn = void, typename VT>
 DistMatrix1D<VT> spgemm_dist_cached_mt(Comm& comm,
@@ -287,7 +288,7 @@ DistMatrix1D<VT> spgemm_dist_cached_mt(Comm& comm,
   if (entry != nullptr) {
     cache.touch(entry);
     const int builds_before = entry->plan->builds();
-    c = spgemm_dist_cached<SRIn>(comm, *entry->plan, a, b, opt, stats);
+    c = distdetail::cached_call(comm, *entry->plan, a, b, opt, stats, /*validated=*/true);
     cache.record_hit(comm, entry->plan->chosen());
     if (entry->plan->builds() != builds_before) {
       // Self-healing rebuilt the plan in place; the agreed residency (and
@@ -298,7 +299,7 @@ DistMatrix1D<VT> spgemm_dist_cached_mt(Comm& comm,
   } else {
     auto& e = cache.admit(fp, opt);
     try {
-      c = spgemm_dist_cached<SRIn>(comm, *e.plan, a, b, opt, stats);
+      c = distdetail::cached_call(comm, *e.plan, a, b, opt, stats, /*validated=*/true);
     } catch (...) {
       cache.erase_entry(&e);  // errors unwind machine-wide: uniform erase
       throw;

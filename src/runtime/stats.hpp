@@ -60,7 +60,7 @@ struct RankReport {
   std::uint64_t msgs_intra = 0;
 
   // Sender-side counters for two-sided collectives (allgather/alltoallv/
-  // bcast): the per-destination payload this rank injected into the
+  // ibcast): the per-destination payload this rank injected into the
   // network. One-sided window gets have no active sender, so machine-wide
   // collective sent bytes must equal collective received bytes
   // (bytes_network() - rdma_bytes); test_runtime asserts this invariant.
@@ -101,7 +101,9 @@ struct RankReport {
   // Inspector–executor reuse accounting, indexed by the Algo enum's integer
   // value (runtime/cost_model.hpp; 0 = Auto counts cached cost-decision
   // reuses, the concrete backends count their plan builds vs. value-only
-  // replays). Incremented by DistSpgemmPlan (dist/dist_plan.hpp).
+  // replays; the last slot has no backend and stays zero, so readers that
+  // bind the five-slot array type keep working). Incremented by
+  // DistSpgemmPlan (dist/dist_plan.hpp).
   std::array<std::uint64_t, 5> plan_builds{};
   std::array<std::uint64_t, 5> plan_replays{};
 
@@ -120,10 +122,10 @@ struct RankReport {
   std::array<std::uint64_t, 5> cache_evictions_by_algo{};
 
   // Peak-memory gauge (DESIGN.md §13). The execution layer charges its
-  // transient triple-shaped allocations — COO accumulators, circulating ring
-  // slices, stage-broadcast staging, redistribution receive chunks, merge
-  // scratch — as it makes them and releases them as they die; the high-water
-  // marks are what DistSpgemmOptions::max_peak_triples budgets against.
+  // transient triple-shaped allocations — COO accumulators, stage-broadcast
+  // staging, redistribution receive chunks, merge scratch — as it makes
+  // them and releases them as they die; the high-water marks are what
+  // DistSpgemmOptions::max_peak_triples budgets against.
   // mem_cur_* are the live gauges, peak_* the high-water since the last
   // outermost budget scope opened (MemGaugeScope resets the peaks to the
   // current level per top-level call, so each DistSpgemmStats reports its

@@ -33,7 +33,6 @@
 #include "runtime/stats.hpp"
 
 #include "dist/dist_matrix.hpp"
-#include "dist/naive1d.hpp"
 #include "dist/redistribute.hpp"
 #include "dist/spgemm3d.hpp"
 #include "dist/summa2d.hpp"

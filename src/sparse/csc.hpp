@@ -3,7 +3,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <numeric>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -116,17 +115,17 @@ class CscMatrix {
 };
 
 /// Folds one run of partial entries into the accumulator `acc`, column by
-/// column: the deterministic ⊕-merge the grid and ring backends build C with
-/// (a SUMMA stage's block, a ring hop's products, an arriving scatter chunk).
-/// The run is CSC-shaped over acc's columns — `colptr` holds acc.ncols()+1
-/// offsets into `rows`/`vals` — and a column's rows may repeat and come in
-/// any order (a ring hop's); such a column is stable-sorted by row first.
-/// Each column is then one linear two-way merge. On equal rows the
+/// column: the deterministic ⊕-merge the grid backends build C with (a SUMMA
+/// stage's block, an arriving scatter chunk). The run is CSC-shaped over
+/// acc's columns — `colptr` holds acc.ncols()+1 offsets into `rows`/`vals`
+/// — and a column's rows may repeat but must be sorted ascending (an
+/// unsorted column is a require failure). Each column is one linear two-way
+/// merge. On equal rows the
 /// accumulator entry goes first, then the run's entries in run order, so
 /// every key holds the left ⊕-fold of its entries in the order they were
 /// folded in, for any ⊕. A key's first entry is assigned, never ⊕-ed onto
-/// a zero. Cost: O(nnz(acc) + ncols + run length), plus a sort of each
-/// unsorted column and, when capturing, one remap of every earlier entry.
+/// a zero. Cost: O(nnz(acc) + ncols + run length), plus, when capturing,
+/// one remap of every earlier entry.
 ///
 /// `dst`/`first` (optional, but only together) hold the composed fold
 /// program over every run folded so far: entry i lands in output slot
@@ -164,23 +163,16 @@ void fold_column_run(CscMatrix<VT>& acc, std::span<const index_t> colptr,
     dst->resize(pushed + rows.size());
     first->resize(pushed + rows.size(), 0);
   }
-  std::vector<std::size_t> order;  // an unsorted column's run positions by (row, position)
   for (std::size_t j = 0; j + 1 < ap.size(); ++j) {
     auto i = static_cast<std::size_t>(ap[j]);
     const auto ie = static_cast<std::size_t>(ap[j + 1]);
     const auto klo = static_cast<std::size_t>(colptr[j]);
     const auto khi = static_cast<std::size_t>(colptr[j + 1]);
     const std::size_t col0 = out_rows.size();
-    const bool sorted = std::is_sorted(rows.begin() + static_cast<std::ptrdiff_t>(klo),
-                                       rows.begin() + static_cast<std::ptrdiff_t>(khi));
-    if (!sorted) {
-      order.resize(khi - klo);
-      std::iota(order.begin(), order.end(), klo);
-      std::stable_sort(order.begin(), order.end(),
-                       [&](std::size_t x, std::size_t y) { return rows[x] < rows[y]; });
-    }
-    for (std::size_t t = klo; t < khi; ++t) {
-      const std::size_t k = sorted ? t : order[t - klo];
+    require(std::is_sorted(rows.begin() + static_cast<std::ptrdiff_t>(klo),
+                           rows.begin() + static_cast<std::ptrdiff_t>(khi)),
+            "fold_column_run: a column's rows must be sorted ascending");
+    for (std::size_t k = klo; k < khi; ++k) {
       const index_t row = rows[k];
       // Accumulator entries up to and including the run entry's row go
       // first; they are unique, so each opens its own slot.

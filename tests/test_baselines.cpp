@@ -1,5 +1,5 @@
 // Tests for the baseline distributed algorithms: outer-product 1D
-// (Algorithm 3), naive ring 1D, 2D sparse SUMMA, Split-3D.
+// (Algorithm 3), 2D sparse SUMMA, Split-3D.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -84,38 +84,6 @@ TEST(OuterProduct1d, DimensionMismatchThrows) {
     spgemm_outer_product_1d(c, a, b);
   }),
                std::invalid_argument);
-}
-
-// ---- Naive ring 1D -------------------------------------------------------
-
-TEST(NaiveRing1d, MatchesSerial) {
-  auto a = erdos_renyi<double>(90, 4.0, 17);
-  auto want = spgemm(a, a, LocalKernel::Spa);
-  for (int P : {1, 2, 5}) {
-    Machine m(P);
-    m.run([&](Comm& c) {
-      auto da = DistMatrix1D<double>::from_global(c, a);
-      auto got = spgemm_naive_ring_1d(c, da, da).gather(c);
-      EXPECT_TRUE(approx_equal(got, want, 1e-9)) << "P=" << P;
-    });
-  }
-}
-
-TEST(NaiveRing1d, MovesWholeAAcrossRing) {
-  // Ballard's analysis: the ring circulates all of A through every rank, so
-  // network traffic is ~(P-1) x nnz(A) triples — far above sparsity-aware.
-  auto a = block_clustered<double>(256, 8, 6.0, 0.25, 9);
-  const int P = 4;
-  Machine m(P);
-  auto ring = m.run([&](Comm& c) {
-    auto da = DistMatrix1D<double>::from_global(c, a);
-    spgemm_naive_ring_1d(c, da, da);
-  });
-  auto aware = m.run([&](Comm& c) {
-    auto da = DistMatrix1D<double>::from_global(c, a);
-    spgemm_1d(c, da, da);
-  });
-  EXPECT_GT(ring.total_bytes_network(), 2 * aware.total_bytes_network());
 }
 
 // ---- 2D sparse SUMMA -----------------------------------------------------
@@ -377,27 +345,6 @@ TEST(FoldOrder, Split3dFoldsLayerPartialsInLayerOrder) {
   expect_fold_order(P, Algo::Split3D, layers, a, b, want);
 }
 
-TEST(FoldOrder, Ring1dFoldsProductsInHopOrder) {
-  auto a = random_rect(64, 60, 700, 35);
-  auto b = random_rect(60, 56, 650, 36);
-  for (int P : {3, 4}) {
-    // The rank owning C column j multiplies A's slices from itself, then
-    // its predecessors around the ring; every product folds on its own.
-    const auto ka = even_split(a.ncols(), P);
-    const auto cb = even_split(b.ncols(), P);
-    auto want = serial_fold(a, b, [&](index_t j) {
-      const int me = find_owner(std::span<const index_t>(cb), j);
-      FoldPlan plan(1);
-      for (int step = 0; step < P; ++step) {
-        const auto r = static_cast<std::size_t>((me - step + P) % P);
-        for (index_t k = ka[r]; k < ka[r + 1]; ++k) plan[0].push_back({k, k + 1});
-      }
-      return plan;
-    });
-    expect_fold_order(P, Algo::Ring1D, 0, a, b, want);
-  }
-}
-
 // ---- Cross-algorithm agreement -------------------------------------------
 
 TEST(AllAlgorithms, AgreeOnOneInput) {
@@ -408,7 +355,6 @@ TEST(AllAlgorithms, AgreeOnOneInput) {
     auto da = DistMatrix1D<double>::from_global(c, a);
     EXPECT_TRUE(approx_equal(spgemm_1d(c, da, da).gather(c), want, 1e-9));
     EXPECT_TRUE(approx_equal(spgemm_outer_product_1d(c, da, da).gather(c), want, 1e-9));
-    EXPECT_TRUE(approx_equal(spgemm_naive_ring_1d(c, da, da).gather(c), want, 1e-9));
     EXPECT_TRUE(approx_equal(grid_product(c, a, a, Algo::Summa2D), want, 1e-9));
     EXPECT_TRUE(approx_equal(grid_product(c, a, a, Algo::Split3D, 4), want, 1e-9));
   });

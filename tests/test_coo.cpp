@@ -122,12 +122,12 @@ TEST(Coo, ConstructFromTripleVector) {
 // per-key fold order changes the value.
 double fold_op(double x, double y) { return 2 * x + y; }
 
-enum class RunKind { Canonical, ColumnGrouped };
+enum class RunKind { Canonical, RepeatedKeys };
 
 /// A run of `n` triples with columns in [clo, chi) and rows in [0, nrows),
 /// grouped by ascending column: canonical (unique keys, sorted — a SUMMA
-/// stage's or a scatter chunk's shape), or with rows out of order and
-/// repeated keys within a column (a ring hop's shape).
+/// stage's or a scatter chunk's shape), or sorted by row with repeated keys
+/// kept in run order.
 std::vector<Triple<double>> make_run(std::mt19937& rng, RunKind kind, int n, index_t clo,
                                      index_t chi, index_t nrows) {
   std::uniform_int_distribution<index_t> col(clo, chi - 1), row(0, nrows - 1);
@@ -142,8 +142,9 @@ std::vector<Triple<double>> make_run(std::mt19937& rng, RunKind kind, int n, ind
                           [](const auto& a, const auto& b) { return a.col == b.col && a.row == b.row; }),
               run.end());
   } else {
-    std::stable_sort(run.begin(), run.end(),
-                     [](const auto& a, const auto& b) { return a.col < b.col; });
+    std::stable_sort(run.begin(), run.end(), [](const auto& a, const auto& b) {
+      return a.col != b.col ? a.col < b.col : a.row < b.row;
+    });
   }
   return run;
 }
@@ -224,8 +225,8 @@ TEST(FoldColumnRun, MatchesTerminalMergeRandomized) {
 
 TEST(FoldColumnRun, EachRunKindAgainstAnAccumulator) {
   std::mt19937 rng(7);
-  for (auto k : {RunKind::Canonical, RunKind::ColumnGrouped}) {
-    const auto before = make_run(rng, RunKind::ColumnGrouped, 30, 10, 20, 5);
+  for (auto k : {RunKind::Canonical, RunKind::RepeatedKeys}) {
+    const auto before = make_run(rng, RunKind::RepeatedKeys, 30, 10, 20, 5);
     // Empty accumulator, then runs wholly before, wholly after and inside.
     expect_fold_equals_terminal({make_run(rng, k, 25, 10, 20, 5)});
     expect_fold_equals_terminal({before, make_run(rng, k, 25, 0, 10, 5)});
@@ -240,7 +241,7 @@ TEST(FoldColumnRun, EmptyRunsAndColumnsChangeNothing) {
   expect_fold_equals_terminal({{}, {}});
   // Runs confined to a few columns leave every other column empty.
   expect_fold_equals_terminal({{},
-                               make_run(rng, RunKind::ColumnGrouped, 20, 0, 3, 4),
+                               make_run(rng, RunKind::RepeatedKeys, 20, 0, 3, 4),
                                {},
                                make_run(rng, RunKind::Canonical, 20, 27, 30, 4),
                                {}});
@@ -266,12 +267,12 @@ TEST(FoldColumnRun, TiesFoldAccumulatorFirstThenRunOrder) {
   EXPECT_EQ(acc.vals(), (std::vector<double>{11.0, 5.0}));
   EXPECT_EQ(dst, (std::vector<index_t>{0, 1, 0, 0}));
   EXPECT_EQ(first, (std::vector<std::uint8_t>{1, 1, 0, 0}));
-  // A ring-shaped run: rows out of order, so the repeat of row 1 folds
-  // after the accumulator's 5 and in run order: (2·(2·5 + 4) + 6).
-  const ColumnRun r3({{1, 0, 4.0}, {0, 0, 7.0}, {1, 0, 6.0}});
+  // A repeat of row 1 folds after the accumulator's 5 and in run order:
+  // 2·(2·5 + 4) + 6 = 34.
+  const ColumnRun r3({{0, 0, 7.0}, {1, 0, 4.0}, {1, 0, 6.0}});
   fold_column_run(acc, r3.colptr, r3.rows, r3.vals, fold_op, &dst, &first);
   EXPECT_EQ(acc.vals(), (std::vector<double>{29.0, 34.0}));
-  EXPECT_EQ(dst, (std::vector<index_t>{0, 1, 0, 0, 1, 0, 1}));
+  EXPECT_EQ(dst, (std::vector<index_t>{0, 1, 0, 0, 0, 1, 1}));
 }
 
 TEST(FoldColumnRun, FirstEntryIsAssignedNotAdded) {
@@ -330,6 +331,12 @@ TEST(FoldColumnRun, RejectsHalfAProgramOrAMisshapedRun) {
   const std::vector<index_t> short_colptr{0, 1};
   EXPECT_THROW(fold_column_run(acc, short_colptr, r.rows, r.vals, fold_op),
                std::invalid_argument);
+  // A column whose rows come out of order is not a run: the caller must
+  // sort it, and the accumulator is left as it was.
+  const ColumnRun unsorted({{1, 0, 4.0}, {0, 0, 7.0}, {1, 0, 6.0}});
+  EXPECT_THROW(fold_column_run(acc, unsorted.colptr, unsorted.rows, unsorted.vals, fold_op),
+               std::invalid_argument);
+  EXPECT_EQ(acc.nnz(), 0);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the backend-generic inspector–executor layer (DistSpgemmPlan):
-// cached replay of every backend — SA-1D, ring-1D, SUMMA-2D, split-3D, and
+// cached replay of every backend — SA-1D, SUMMA-2D, split-3D, and
 // Auto-dispatched — is bit-identical to the fresh spgemm_dist call over the
 // iterated app shapes (MCL squaring, BC rectangular frontiers, AMG Galerkin
 // refreshes), records zero metadata-collective bytes and exactly zero
@@ -62,7 +62,7 @@ CscMatrix<double> hypersparse(index_t n, int edges, std::uint64_t seed) {
 // Every backend is feasible at every P now that the 2D/3D grids may be
 // rectangular (primes run 1 × P grids).
 std::vector<Algo> feasible_backends(int) {
-  return {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+  return {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 }
 
 using LocalsPerIter = std::vector<std::vector<DcscMatrix<double>>>;  // [rank][iter]
@@ -173,8 +173,8 @@ TEST(DistPlanReplay, EmptyRankSlicesThroughCachedRoutes) {
 }
 
 TEST(DistPlanReplay, SingleRankDegenerateGrids) {
-  // P = 1: the 1×1 SUMMA grid, the 1·1² split-3D layering, a hop-free
-  // ring — every route is a self-route and must still replay bit-exactly.
+  // P = 1: the 1×1 SUMMA grid and the 1·1² split-3D layering — every route
+  // is a self-route and must still replay bit-exactly.
   auto a = block_clustered<double>(96, 4, 4.0, 0.4, 43);
   for (Algo algo : feasible_backends(1)) expect_replay_bit_identical(1, algo, a, a, 3);
 }
@@ -245,7 +245,7 @@ TEST(DistPlanAuto, CachedDecisionSkipsTheMetadataRegather) {
     auto da0 = DistMatrix1D<double>::from_global(c, with_values(a, 0));
     auto c1 = plan.build(c, da0, da0, {}, &st1);
     EXPECT_EQ(st1.requested, Algo::Auto);
-    ASSERT_EQ(st1.predictions.size(), 4u);
+    ASSERT_EQ(st1.predictions.size(), 3u);
     EXPECT_GT(st1.meta_coll_bytes, 0u);  // the build gathered cost inputs
 
     auto da1 = DistMatrix1D<double>::from_global(c, with_values(a, 1));
@@ -278,15 +278,15 @@ TEST(DistPlanAuto, ReplayRepricingRecordedAlongsideBuildDecision) {
     DistSpgemmStats st1, st2;
     auto da0 = DistMatrix1D<double>::from_global(c, with_values(a, 0));
     plan.build(c, da0, da0, {}, &st1);
-    ASSERT_EQ(st1.predictions.size(), 4u);
-    ASSERT_EQ(st1.replay_predictions.size(), 4u);
+    ASSERT_EQ(st1.predictions.size(), 3u);
+    ASSERT_EQ(st1.replay_predictions.size(), 3u);
     EXPECT_NE(st1.replay_choice, Algo::Auto);
     EXPECT_EQ(plan.replay_choice(), st1.replay_choice);
     // Replay pricing strips plan-side volume: every feasible backend's
     // repriced total undercuts its one-shot prediction.
     double best = -1.0;
     Algo argmin = Algo::SparseAware1D;
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < st1.predictions.size(); ++i) {
       const auto& one_shot = st1.predictions[i];
       const auto& replay = st1.replay_predictions[i];
       EXPECT_EQ(one_shot.algo, replay.algo);
@@ -305,7 +305,7 @@ TEST(DistPlanAuto, ReplayRepricingRecordedAlongsideBuildDecision) {
     // no metadata bytes, no inspector seconds.
     EXPECT_TRUE(st2.plan_reused);
     EXPECT_EQ(st2.replay_choice, st1.replay_choice);
-    ASSERT_EQ(st2.replay_predictions.size(), 4u);
+    ASSERT_EQ(st2.replay_predictions.size(), 3u);
     EXPECT_DOUBLE_EQ(st2.replay_predictions[0].total_s(), st1.replay_predictions[0].total_s());
     EXPECT_EQ(st2.meta_coll_bytes, 0u);
     EXPECT_DOUBLE_EQ(st2.plan_seconds, 0.0);
@@ -417,12 +417,12 @@ TEST(DistPlanCached, RebuildsOnOptionChange) {
   m.run([&](Comm& c) {
     auto dm = DistMatrix1D<double>::from_global(c, pat);
     DistSpgemmPlan<double> plan;
-    DistSpgemmOptions ring;
-    ring.algo = Algo::Ring1D;
+    DistSpgemmOptions sa1d;
+    sa1d.algo = Algo::SparseAware1D;
     DistSpgemmOptions summa;
     summa.algo = Algo::Summa2D;
-    spgemm_dist_cached(c, plan, dm, dm, ring);
-    EXPECT_EQ(plan.chosen(), Algo::Ring1D);
+    spgemm_dist_cached(c, plan, dm, dm, sa1d);
+    EXPECT_EQ(plan.chosen(), Algo::SparseAware1D);
     spgemm_dist_cached(c, plan, dm, dm, summa);  // option change: new backend
     EXPECT_EQ(plan.chosen(), Algo::Summa2D);
     spgemm_dist_cached(c, plan, dm, dm, summa);
@@ -438,7 +438,7 @@ TEST(DistPlanCached, ExecuteRejectsStructureMismatchAndEmptyPlan) {
     auto b = DistMatrix1D<double>::from_global(c, erdos_renyi<double>(60, 4.0, 8));
     DistSpgemmPlan<double> plan;
     DistSpgemmOptions opt;
-    opt.algo = Algo::Ring1D;
+    opt.algo = Algo::Summa2D;
     plan.build(c, a, a, opt);
     plan.execute(c, b, b);  // different structure -> fingerprint mismatch
   }),

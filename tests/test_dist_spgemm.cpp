@@ -63,7 +63,7 @@ CscMatrix<double> hypersparse(index_t n, int edges, std::uint64_t seed) {
 // would never dispatch: explicit backend requests run them, so they must be
 // bit-correct too.
 std::vector<Algo> feasible_backends(int) {
-  return {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+  return {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 }
 
 /// Runs every feasible backend through spgemm_dist over both semirings and
@@ -274,7 +274,7 @@ TEST(DistSpgemmAuto, RecordsInputsAndPredictionsAndPicksArgmin) {
     EXPECT_TRUE(bit_equal(got.gather(c), want));
 
     EXPECT_EQ(st.requested, Algo::Auto);
-    ASSERT_EQ(st.predictions.size(), 4u);
+    ASSERT_EQ(st.predictions.size(), 3u);
     // The structural inputs were gathered and are globally consistent.
     EXPECT_EQ(st.inputs.P, 16);
     EXPECT_EQ(st.inputs.nnz_a, static_cast<std::uint64_t>(a.nnz()));
@@ -304,18 +304,18 @@ TEST(DistSpgemmAuto, ExplicitBackendSkipsTheMetadataGather) {
   m.run([&](Comm& c) {
     auto da = DistMatrix1D<double>::from_global(c, a);
     DistSpgemmOptions opt;
-    opt.algo = Algo::Ring1D;
+    opt.algo = Algo::Summa2D;
     DistSpgemmStats st;
     spgemm_dist(c, da, da, opt, &st);
-    EXPECT_EQ(st.requested, Algo::Ring1D);
-    EXPECT_EQ(st.chosen, Algo::Ring1D);
+    EXPECT_EQ(st.requested, Algo::Summa2D);
+    EXPECT_EQ(st.chosen, Algo::Summa2D);
     EXPECT_TRUE(st.predictions.empty());
   });
 }
 
 TEST(DistSpgemmAuto, AllBackendsFeasibleAtEveryP) {
   // The rectangular-grid acceptance regression: choose_algo must report all
-  // four backends feasible at every P ≥ 2 — primes included — so Auto is a
+  // three backends feasible at every P ≥ 2 — primes included — so Auto is a
   // total function of P and fig08/fig09 never lose a series.
   CostModel cm(calibrate_cost_params());
   AlgoCostInputs in;
@@ -328,7 +328,7 @@ TEST(DistSpgemmAuto, AllBackendsFeasibleAtEveryP) {
     std::vector<AlgoPrediction> preds;
     int layers = 1;
     choose_algo(cm, in, 0, &layers, &preds);
-    ASSERT_EQ(preds.size(), 4u);
+    ASSERT_EQ(preds.size(), 3u);
     for (const auto& pr : preds) {
       if (pr.algo == Algo::Split3D && !split3d_has_nontrivial_layers(P)) {
         // Primes have no middle layering; Auto skips the degenerate ones.
@@ -371,7 +371,7 @@ TEST(DistSpgemmAuto, ReplayPredictionsAreCheaperAndPlanFree) {
   in.sa1d_fetch_elems = 20000;
   in.sa1d_fetch_msgs = 600;
   in.layers = 2;
-  for (Algo algo : {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+  for (Algo algo : {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D}) {
     auto one_shot = cm.predict(in, algo);
     auto replay = cm.predict_replay(in, algo);
     ASSERT_TRUE(one_shot.feasible && replay.feasible) << algo_name(algo);
@@ -379,22 +379,6 @@ TEST(DistSpgemmAuto, ReplayPredictionsAreCheaperAndPlanFree) {
     EXPECT_DOUBLE_EQ(replay.comp_s, one_shot.comp_s) << algo_name(algo);
     EXPECT_LE(replay.comm_s, one_shot.comm_s) << algo_name(algo);
   }
-}
-
-TEST(DistSpgemmAuto, SparsityAdvantageFavorsSa1dOverRing) {
-  // With a tiny needed fraction the SA-1D prediction must undercut the
-  // ring's full-replication cost at every realistic size.
-  CostModel cm;
-  AlgoCostInputs in;
-  in.P = 16;
-  in.nnz_a = in.nnz_b = 1'000'000;
-  in.nzc_a = 40'000;
-  in.flops = 40'000'000;
-  in.max_rank_flops = 3'000'000;
-  in.sa1d_fetch_elems = 50'000;  // 5% of A moves
-  in.sa1d_fetch_msgs = 1'000;
-  EXPECT_LT(cm.predict(in, Algo::SparseAware1D).total_s(),
-            cm.predict(in, Algo::Ring1D).total_s());
 }
 
 // ---- one dispatch: the one-shot call and a fresh plan build agree ---------
@@ -466,7 +450,7 @@ TEST(DistSpgemmParity, OneShotMatchesFreshBuildInEveryCell) {
     const std::uint64_t budget = c.allreduce_max(probe.peak_triples) * 3 / 5 + 1;
 
     for (Algo algo :
-         {Algo::Auto, Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+         {Algo::Auto, Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D}) {
       for (Ordering ord :
            {Ordering::Identity, Ordering::Random, Ordering::Partitioned, Ordering::Auto}) {
         for (int mem = 0; mem < 3; ++mem) {
@@ -488,6 +472,45 @@ TEST(DistSpgemmParity, OneShotMatchesFreshBuildInEveryCell) {
     DistSpgemmStats st;
     spgemm_dist(c, da, da, batched, &st);
     EXPECT_EQ(st.inputs.batch, 8);
+  });
+}
+
+TEST(DistSpgemmParity, ValidatesOncePerTopLevelCall) {
+  // The collective validation runs at the public entry only: a cached call
+  // on an empty plan, a plan build and a one-shot call cost the same comm
+  // ops, and a panelized call costs its panels' work plus one validation.
+  auto a = with_integer_values(block_clustered<double>(160, 8, 5.0, 0.5, 71), 72);
+  const int P = 4;
+  Machine m(P);
+  m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    auto ops_of = [&](auto&& call) {
+      const std::uint64_t before = c.report().comm_ops;
+      call();
+      return c.report().comm_ops - before;
+    };
+    for (Algo algo : {Algo::Auto, Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D}) {
+      SCOPED_TRACE(algo_name(algo));
+      DistSpgemmOptions opt;
+      opt.algo = algo;
+      const auto one_shot = ops_of([&] { spgemm_dist(c, da, da, opt); });
+      DistSpgemmPlan<double> cached, built;
+      EXPECT_EQ(ops_of([&] { spgemm_dist_cached(c, cached, da, da, opt); }), one_shot);
+      EXPECT_EQ(ops_of([&] { built.build(c, da, da, opt); }), one_shot);
+    }
+
+    DistSpgemmOptions opt;
+    opt.algo = Algo::Summa2D;
+    opt.panels = 3;
+    const auto panelized = ops_of([&] { spgemm_dist(c, da, da, opt); });
+    opt.panels = 1;
+    const auto bounds = even_split(da.ncols(), 3);
+    std::uint64_t per_panel = 0;
+    for (std::size_t pi = 0; pi + 1 < bounds.size(); ++pi) {
+      auto bp = restrict_columns(da, bounds[pi], bounds[pi + 1]);
+      per_panel += ops_of([&] { spgemm_dist(c, da, bp, opt); }) - 1;  // its own validation
+    }
+    EXPECT_EQ(panelized, per_panel + 1);
   });
 }
 

@@ -397,7 +397,7 @@ TEST(Fault, ChaosSweepAllBackendsAllFaultsBothPhases) {
   auto b = with_integer_values(erdos_renyi<double>(110, 4.0, 22), 15);
   auto want = spgemm_local<PlusTimes<double>, double>(a, b, LocalKernel::Spa);
   const int P = 4;
-  const Algo backends[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+  const Algo backends[] = {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
   const FaultKind kinds[] = {FaultKind::RankAbort, FaultKind::CollectiveCorrupt,
                              FaultKind::RdmaCorrupt, FaultKind::SlowRank};
 
@@ -603,7 +603,7 @@ TEST(Fault, ZeroOverheadWhenFaultLayerIsOff) {
       DistSpgemmOptions sa;
       sa.algo = Algo::SparseAware1D;  // exercises RDMA windows
       DistSpgemmOptions su;
-      su.algo = Algo::Summa2D;  // exercises sub-communicators + bcast
+      su.algo = Algo::Summa2D;  // exercises sub-communicators + ibcast
       match[static_cast<std::size_t>(c.rank())] =
           (iterate_backend(c, a, b, want, sa) && iterate_backend(c, a, b, want, su)) ? 1 : 0;
     });

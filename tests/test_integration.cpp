@@ -11,13 +11,12 @@
 namespace sa1d {
 namespace {
 
-enum class Algo { Aware1d, Outer1d, Ring1d, Summa2d, Split3d };
+enum class Algo { Aware1d, Outer1d, Summa2d, Split3d };
 
 const char* algo_name(Algo a) {
   switch (a) {
     case Algo::Aware1d: return "aware1d";
     case Algo::Outer1d: return "outer1d";
-    case Algo::Ring1d: return "ring1d";
     case Algo::Summa2d: return "summa2d";
     case Algo::Split3d: return "split3d";
   }
@@ -33,10 +32,6 @@ CscMatrix<double> run_algo(Comm& c, Algo algo, const CscMatrix<double>& a) {
     case Algo::Outer1d: {
       auto da = DistMatrix1D<double>::from_global(c, a);
       return spgemm_outer_product_1d(c, da, da).gather(c);
-    }
-    case Algo::Ring1d: {
-      auto da = DistMatrix1D<double>::from_global(c, a);
-      return spgemm_naive_ring_1d(c, da, da).gather(c);
     }
     case Algo::Summa2d:
     case Algo::Split3d: {
@@ -69,8 +64,8 @@ TEST_P(SquaringEquivalence, AllAlgorithmsMatchSerialOnAllDatasets) {
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SquaringEquivalence,
-    ::testing::Combine(::testing::Values(Algo::Aware1d, Algo::Outer1d, Algo::Ring1d,
-                                         Algo::Summa2d, Algo::Split3d),
+    ::testing::Combine(::testing::Values(Algo::Aware1d, Algo::Outer1d, Algo::Summa2d,
+                                         Algo::Split3d),
                        ::testing::Values(Dataset::QueenLike, Dataset::StokesLike,
                                          Dataset::EukaryaLike, Dataset::Hv15rLike,
                                          Dataset::NlpkktLike)),

@@ -1,6 +1,6 @@
 // Memory-bounded execution regression suite (DESIGN.md §13): budgeted
-// execution — streaming merges, a bounded SUMMA stage window, solo ring
-// replays and column-panel replay — must be a *footprint-only* transform
+// execution — streaming merges, a bounded SUMMA stage window and
+// column-panel replay — must be a *footprint-only* transform
 // relative to the monolithic call: bit-identical results for every backend ×
 // semiring × fresh/replay × panel count; the measured peak-triples gauge must respect
 // max_peak_triples whenever the planner deems a budget feasible; divergent
@@ -44,7 +44,7 @@ bool bit_equal(const CscMatrix<double>& got, const CscMatrix<double>& want) {
          got.vals() == want.vals();
 }
 
-constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 
 struct ModeResult {
   CscMatrix<double> fresh, replay;
@@ -253,97 +253,6 @@ TEST(MemoryBudget, FusedGridReplayChargesStagingWithinBudget) {
   }
 }
 
-// ---- a budgeted ring plan replays values only, in a group of its own -------
-
-struct RingBudgetRun {
-  std::vector<std::uint64_t> replay_bytes, replay_meta;  ///< tenant 0's cached replay
-  std::vector<std::uint64_t> batch_msgs;                 ///< both tenants' hot batch
-  std::vector<int> identical;
-  RunReport rep;
-};
-
-/// Per tenant: a fresh call and a cached replay through its own plan; then
-/// both tenants through one plan cache, warmed and replayed as one hot batch.
-RingBudgetRun run_ring_budget(int P, const std::vector<CscMatrix<double>>& tenants,
-                              const std::vector<CscMatrix<double>>& want,
-                              const DistSpgemmOptions& opt) {
-  const auto up = static_cast<std::size_t>(P);
-  RingBudgetRun out{std::vector<std::uint64_t>(up), std::vector<std::uint64_t>(up),
-                    std::vector<std::uint64_t>(up), std::vector<int>(up), {}};
-  Machine m(P);
-  out.rep = m.run([&](Comm& c) {
-    const auto me = static_cast<std::size_t>(c.rank());
-    std::vector<DistMatrix1D<double>> ops;
-    for (const auto& t : tenants) ops.push_back(DistMatrix1D<double>::from_global(c, t));
-    bool same = true;
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      DistSpgemmPlan<double> plan;
-      auto c1 = spgemm_dist_cached(c, plan, ops[i], ops[i], opt);
-      DistSpgemmStats st;
-      auto c2 = spgemm_dist_cached(c, plan, ops[i], ops[i], opt, &st);
-      same = st.plan_reused && same;
-      if (i == 0) {
-        out.replay_bytes[me] = st.coll_recv_bytes;
-        out.replay_meta[me] = st.meta_coll_bytes;
-      }
-      same = bit_equal(c1.gather(c), want[i]) && bit_equal(c2.gather(c), want[i]) && same;
-    }
-    PlanCache<double> cache;
-    std::vector<std::pair<const DistMatrix1D<double>*, const DistMatrix1D<double>*>> items;
-    for (const auto& op : ops) items.push_back({&op, &op});
-    (void)spgemm_dist_batched(c, cache, items, opt);  // builds both plans
-    const auto msgs = c.report().coll_msgs_received();
-    auto got = spgemm_dist_batched(c, cache, items, opt);
-    out.batch_msgs[me] = c.report().coll_msgs_received() - msgs;
-    for (std::size_t i = 0; i < got.size(); ++i)
-      same = bit_equal(got[i].gather(c), want[i]) && same;
-    out.identical[me] = same ? 1 : 0;
-  });
-  return out;
-}
-
-TEST(MemoryBudget, BudgetedRingReplayCirculatesValuesLikeUnbudgeted) {
-  // A budget leaves a ring plan's cached replay unchanged: every hop shifts
-  // the bare value array, so each rank receives exactly the unbudgeted
-  // replay's collective bytes and no structural metadata. In a batch, a
-  // budgeted ring plan still replays in a group of its own, since a fused
-  // ring group would hold every member's slice at once and the peak model
-  // does not price that.
-  std::vector<CscMatrix<double>> tenants{
-      with_integer_values(erdos_renyi<double>(150, 5.0, 107), 108),
-      with_integer_values(block_clustered<double>(150, 5, 4.0, 0.4, 109), 110)};
-  std::vector<CscMatrix<double>> want;
-  for (const auto& t : tenants)
-    want.push_back(spgemm_local<PlusTimes<double>, double>(t, t, LocalKernel::Spa));
-  const int P = 4;
-  DistSpgemmOptions base;
-  base.algo = Algo::Ring1D;
-  base.panels = 1;
-  std::uint64_t peak0 = 0;
-  for (const auto& t : tenants) {
-    auto b0 = run_mode<void>(P, t, base);
-    for (const auto& r : b0.rep.ranks) peak0 = std::max(peak0, r.hwm_triples);
-  }
-  ASSERT_GT(peak0, 0u);
-  DistSpgemmOptions opt = base;
-  opt.max_peak_triples = 4 * peak0;
-
-  const auto free_run = run_ring_budget(P, tenants, want, base);
-  const auto budgeted = run_ring_budget(P, tenants, want, opt);
-  for (std::size_t r = 0; r < free_run.identical.size(); ++r) {
-    SCOPED_TRACE("rank " + std::to_string(r));
-    EXPECT_EQ(free_run.identical[r], 1);
-    EXPECT_EQ(budgeted.identical[r], 1);
-    EXPECT_GT(budgeted.replay_bytes[r], 0u);
-    EXPECT_EQ(budgeted.replay_bytes[r], free_run.replay_bytes[r]);
-    EXPECT_EQ(budgeted.replay_meta[r], 0u);
-    EXPECT_LE(budgeted.rep.ranks[r].hwm_triples, opt.max_peak_triples);
-    // The two unbudgeted members share one ring pass (one message per hop);
-    // the budgeted ones run a pass each, P-1 hop messages more.
-    EXPECT_EQ(budgeted.batch_msgs[r], free_run.batch_msgs[r] + (P - 1));
-  }
-}
-
 // ---- Auto crosses the feasibility cliff via panelization -------------------
 
 TEST(MemoryBudget, AutoPicksFeasiblePanelizedPlanWhereMonolithicIsInfeasible) {
@@ -413,7 +322,7 @@ TEST(MemoryBudget, DivergentPanelCountsFailValidationEverywhere) {
   m.run([&](Comm& c) {
     auto da = DistMatrix1D<double>::from_global(c, a);
     DistSpgemmOptions opt;
-    opt.algo = Algo::Ring1D;
+    opt.algo = Algo::SparseAware1D;
     opt.panels = c.rank() % 2 == 0 ? 2 : 4;  // diverges
     try {
       (void)spgemm_dist(c, da, da, opt);
@@ -458,7 +367,7 @@ TEST(MemoryBudget, GaugesReturnToTheirLevelAfterEveryCall) {
   // within the budget.
   auto a = with_integer_values(erdos_renyi<double>(150, 5.0, 111), 112);
   const int P = 4;
-  for (Algo algo : {Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+  for (Algo algo : {Algo::Summa2D, Algo::Split3D}) {
     DistSpgemmOptions base;
     base.algo = algo;
     std::uint64_t peak0 = 0;
@@ -507,7 +416,7 @@ TEST(MemoryBudget, CacheResidencyReportsThroughTheSharedGauge) {
     auto da = DistMatrix1D<double>::from_global(c, a);
     PlanCache<double> cache;
     DistSpgemmOptions opt;
-    opt.algo = Algo::Ring1D;
+    opt.algo = Algo::SparseAware1D;
     (void)spgemm_dist_cached_mt(c, cache, da, da, opt);
     const auto& r = c.report();
     ok[static_cast<std::size_t>(c.rank())] =
@@ -538,61 +447,60 @@ TEST(MemoryBudget, ChaosMidPanelContainsOrHealsOnEveryRank) {
   const int P = 4;
   const FaultKind kinds[] = {FaultKind::RankAbort, FaultKind::CollectiveCorrupt};
 
-  for (Algo algo : {Algo::Summa2D, Algo::Ring1D}) {
-    DistSpgemmOptions opt;
-    opt.algo = algo;
-    opt.panels = 2;
-    opt.max_recovery_retries = 4;
+  const Algo algo = Algo::Summa2D;
+  DistSpgemmOptions opt;
+  opt.algo = algo;
+  opt.panels = 2;
+  opt.max_recovery_retries = 4;
 
-    std::vector<std::uint64_t> ops(static_cast<std::size_t>(P), 0);
-    Machine probe(P);
-    probe.run([&](Comm& c) {
-      auto da = DistMatrix1D<double>::from_global(c, a);
-      DistSpgemmPlan<double> plan;
-      (void)spgemm_dist_cached(c, plan, da, da, opt);
-      (void)spgemm_dist_cached(c, plan, da, da, opt);
-      ops[static_cast<std::size_t>(c.rank())] = c.report().comm_ops;
+  std::vector<std::uint64_t> ops(static_cast<std::size_t>(P), 0);
+  Machine probe(P);
+  probe.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    DistSpgemmPlan<double> plan;
+    (void)spgemm_dist_cached(c, plan, da, da, opt);
+    (void)spgemm_dist_cached(c, plan, da, da, opt);
+    ops[static_cast<std::size_t>(c.rank())] = c.report().comm_ops;
+  });
+
+  for (FaultKind kind : kinds) {
+    const int victim = 1;
+    const std::uint64_t op = ops[static_cast<std::size_t>(victim)] / 2;
+    SCOPED_TRACE(std::string(algo_name(algo)) + " x " + fault_kind_name(kind) + " @op " +
+                 std::to_string(op));
+    MachineOptions o;
+    o.integrity = true;
+    o.barrier_timeout = std::chrono::milliseconds(20000);
+    o.faults.actions.push_back(
+        {.kind = kind, .rank = victim, .op_index = op, .byte_offset = 5});
+    Machine m(P, {}, o);
+    std::vector<RankOutcome> out(static_cast<std::size_t>(P));
+    std::vector<int> match(static_cast<std::size_t>(P), 0);
+    m.run([&](Comm& c) {
+      auto& oc = out[static_cast<std::size_t>(c.rank())];
+      try {
+        auto da = DistMatrix1D<double>::from_global(c, a);
+        DistSpgemmPlan<double> plan;
+        auto c1 = spgemm_dist_cached(c, plan, da, da, opt);
+        auto c2 = spgemm_dist_cached(c, plan, da, da, opt);
+        match[static_cast<std::size_t>(c.rank())] =
+            (bit_equal(c1.gather(c), want) && bit_equal(c2.gather(c), want)) ? 1 : 0;
+        oc.ok = true;
+      } catch (const Sa1dError& e) {
+        oc.cls = e.fault_class();
+        oc.what = dynamic_cast<const std::exception&>(e).what();
+      }
     });
 
-    for (FaultKind kind : kinds) {
-      const int victim = 1;
-      const std::uint64_t op = ops[static_cast<std::size_t>(victim)] / 2;
-      SCOPED_TRACE(std::string(algo_name(algo)) + " x " + fault_kind_name(kind) + " @op " +
-                   std::to_string(op));
-      MachineOptions o;
-      o.integrity = true;
-      o.barrier_timeout = std::chrono::milliseconds(20000);
-      o.faults.actions.push_back(
-          {.kind = kind, .rank = victim, .op_index = op, .byte_offset = 5});
-      Machine m(P, {}, o);
-      std::vector<RankOutcome> out(static_cast<std::size_t>(P));
-      std::vector<int> match(static_cast<std::size_t>(P), 0);
-      m.run([&](Comm& c) {
-        auto& oc = out[static_cast<std::size_t>(c.rank())];
-        try {
-          auto da = DistMatrix1D<double>::from_global(c, a);
-          DistSpgemmPlan<double> plan;
-          auto c1 = spgemm_dist_cached(c, plan, da, da, opt);
-          auto c2 = spgemm_dist_cached(c, plan, da, da, opt);
-          match[static_cast<std::size_t>(c.rank())] =
-              (bit_equal(c1.gather(c), want) && bit_equal(c2.gather(c), want)) ? 1 : 0;
-          oc.ok = true;
-        } catch (const Sa1dError& e) {
-          oc.cls = e.fault_class();
-          oc.what = dynamic_cast<const std::exception&>(e).what();
-        }
-      });
-
-      const bool any_ok = out[0].ok;
-      for (int r = 0; r < P; ++r) {
-        const auto& o_r = out[static_cast<std::size_t>(r)];
-        EXPECT_EQ(o_r.ok, any_ok) << "rank " << r << ": outcome not uniform";
-        if (o_r.ok) {
-          EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << "rank " << r;
-        } else {
-          EXPECT_EQ(o_r.cls, out[0].cls) << "rank " << r;
-          if (r != victim) EXPECT_EQ(o_r.what, out[0].what) << "rank " << r;
-        }
+    const bool any_ok = out[0].ok;
+    for (int r = 0; r < P; ++r) {
+      const auto& o_r = out[static_cast<std::size_t>(r)];
+      EXPECT_EQ(o_r.ok, any_ok) << "rank " << r << ": outcome not uniform";
+      if (o_r.ok) {
+        EXPECT_EQ(match[static_cast<std::size_t>(r)], 1) << "rank " << r;
+      } else {
+        EXPECT_EQ(o_r.cls, out[0].cls) << "rank " << r;
+        if (r != victim) EXPECT_EQ(o_r.what, out[0].what) << "rank " << r;
       }
     }
   }

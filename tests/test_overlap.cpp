@@ -46,7 +46,7 @@ std::vector<std::uint64_t> counters_of(const RankReport& r) {
           r.bytes_local,      r.comm_ops};
 }
 
-constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+constexpr Algo kBackends[] = {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 
 /// Fresh + replay through one cached plan: the two gathered results, the
 /// run's reports, and each rank's counters priced by the α–β model
@@ -132,13 +132,11 @@ TEST(Overlap, OrAndBitIdenticalAcrossBackends) {
 // ---- the nonblocking primitives against their blocking references ----------
 
 TEST(Overlap, NonblockingPrimitivesChargeWhatBlockingOnesDo) {
-  // ibcast / ialltoallv / iget move the same payloads as bcast / alltoallv
-  // / get and record the same counters; their waited + hidden comm equals
+  // ialltoallv / iget move the same payloads as alltoallv / get and record
+  // the same counters; their waited + hidden comm equals
   // the blocking comm_s, and the blocking primitives hide nothing.
   const int P = 4;
-  auto payloads = [](Comm& c, std::vector<double>& data, std::vector<std::vector<int>>& send,
-                     std::vector<double>& win) {
-    data.assign(c.rank() == 1 ? 64 : 0, 1.5);
+  auto payloads = [](Comm& c, std::vector<std::vector<int>>& send, std::vector<double>& win) {
     send.assign(static_cast<std::size_t>(P), {});
     for (int p = 0; p < P; ++p)
       send[static_cast<std::size_t>(p)].assign(static_cast<std::size_t>(c.rank() + p), p);
@@ -147,10 +145,9 @@ TEST(Overlap, NonblockingPrimitivesChargeWhatBlockingOnesDo) {
   std::vector<int> same(static_cast<std::size_t>(P), 0);
   Machine blocking_m(P);
   auto blocking = blocking_m.run([&](Comm& c) {
-    std::vector<double> data, win, got(8);
+    std::vector<double> win, got(8);
     std::vector<std::vector<int>> send;
-    payloads(c, data, send, win);
-    c.bcast(data, 1);
+    payloads(c, send, win);
     (void)c.alltoallv(send);
     Window w = c.expose(std::span<const double>(win));
     c.get(w, (c.rank() + 1) % P, 4, 8, got.data());
@@ -158,15 +155,13 @@ TEST(Overlap, NonblockingPrimitivesChargeWhatBlockingOnesDo) {
   });
   Machine nonblocking_m(P);
   auto nonblocking = nonblocking_m.run([&](Comm& c) {
-    std::vector<double> data, win, got(8);
+    std::vector<double> win, got(8);
     std::vector<std::vector<int>> send;
-    payloads(c, data, send, win);
-    auto b = c.ibcast(data, 1);
+    payloads(c, send, win);
     auto a = c.ialltoallv(std::move(send));
     Window w = c.expose(std::span<const double>(win));
     auto g = c.iget(w, (c.rank() + 1) % P, 4, 8, got.data());
-    b.wait();
-    bool ok = data.size() == 64;
+    bool ok = true;
     for (int p = 0; p < P; ++p) {
       const auto chunk = a.take_from(p);
       ok = ok && chunk.size() == static_cast<std::size_t>(p + c.rank());

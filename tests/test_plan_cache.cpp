@@ -2,12 +2,12 @@
 // (runtime/plan_cache.hpp) and the batched fused executor
 // (dist/batch_spgemm.hpp). The acceptance bar is bit-identity — every
 // batched member must equal the fresh spgemm_dist result for its operands,
-// across all four backends, both semirings, and batch sizes 1/2/8/32
+// across all three backends, both semirings, and batch sizes 1/2/8/32
 // (cold: misses + within-batch deferred hits; hot: fused replay groups),
 // under Random and Partitioned orderings too, with a batch of one equal to
-// the sequential replay in results and counters and fused ring groups
+// the sequential replay in results and counters and fused grid groups
 // charging the memory gauge — plus the LRU/budget mechanics (eviction order
-// and forced rebuilds, for grid and ring plans alike), the structure-hash
+// and forced rebuilds), the structure-hash
 // negative (equal quick fingerprints must not alias), the coherence guard
 // (a rank-divergent cache decision surfaces as the identical typed
 // ValidationError on every rank, never a hang), chaos (RankAbort mid-batch
@@ -52,7 +52,7 @@ CscMatrix<double> circulant(index_t n, index_t shift, double base) {
 }
 
 std::vector<Algo> all_backends() {
-  return {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D};
+  return {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D};
 }
 
 struct RankOutcome {
@@ -255,14 +255,14 @@ TEST(PlanCacheBatched, OrderedPlansReplayHotWithoutRecovery) {
 
 // ---- the replay memory gauge ----------------------------------------------
 
-TEST(PlanCacheBatched, RingGroupChargesItsCirculatingSlices) {
-  // A fused ring replay circulates every member's A values at once, so its
-  // peak covers at least each member's own sequential replay peak.
+TEST(PlanCacheBatched, GridGroupChargesEveryMembersStagePayload) {
+  // A fused SUMMA replay broadcasts every member's stage blocks at once, so
+  // its peak covers at least each member's own sequential replay peak.
   std::vector<CscMatrix<double>> tenants;
   tenants.push_back(erdos_renyi<double>(300, 4.0, 107));
   tenants.push_back(erdos_renyi<double>(300, 3.0, 109));
   DistSpgemmOptions opt;
-  opt.algo = Algo::Ring1D;
+  opt.algo = Algo::Summa2D;
   Machine m(4);
   m.run([&](Comm& c) {
     std::vector<DistMatrix1D<double>> ops;
@@ -416,70 +416,66 @@ TEST(PlanCacheLru, EvictionOrderAndForcedRebuild) {
   tenants.push_back(block_clustered<double>(110, 5, 4.0, 0.4, 47));
   tenants.push_back(erdos_renyi<double>(110, 3.0, 53));
   tenants.push_back(block_clustered<double>(110, 11, 5.0, 0.3, 59));
-  // A ring victim is evicted exactly like a grid victim: dropped, and a
-  // re-request is a miss that rebuilds bit-identically.
-  for (Algo algo : {Algo::Summa2D, Algo::Ring1D}) {
-    SCOPED_TRACE(algo_name(algo));
-    DistSpgemmOptions opt;
-    opt.algo = algo;
+  const Algo algo = Algo::Summa2D;
+  DistSpgemmOptions opt;
+  opt.algo = algo;
 
-    // Pass 1 (unbounded): capture each tenant plan's agreed residency.
-    std::vector<std::uint64_t> bytes(3, 0);
-    {
-      Machine m(4);
-      m.run([&](Comm& c) {
-        PlanCache<double> cache;
-        for (int i = 0; i < 3; ++i) {
-          auto da = DistMatrix1D<double>::from_global(
-              c, with_values(tenants[static_cast<std::size_t>(i)], i));
-          spgemm_dist_cached_mt(c, cache, da, da, opt);
-          if (c.rank() == 0) bytes[static_cast<std::size_t>(i)] = cache.entries().front().bytes;
-        }
-      });
-    }
-    for (auto b : bytes) ASSERT_GT(b, 0u);
-
-    // Pass 2: budget one byte short of all three — the LRU victim (tenant 0)
-    // must be evicted when tenant 2 is admitted, deterministically on every
-    // rank; re-requesting tenant 0 is then a miss that rebuilds correctly and
-    // evicts the new tail (tenant 1).
-    const std::uint64_t budget = bytes[0] + bytes[1] + bytes[2] - 1;
+  // Pass 1 (unbounded): capture each tenant plan's agreed residency.
+  std::vector<std::uint64_t> bytes(3, 0);
+  {
     Machine m(4);
     m.run([&](Comm& c) {
-      PlanCache<double> cache(budget);
-      std::vector<DistMatrix1D<double>> ops;
-      for (int i = 0; i < 3; ++i)
-        ops.push_back(DistMatrix1D<double>::from_global(
-            c, with_values(tenants[static_cast<std::size_t>(i)], i)));
-      spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
-      spgemm_dist_cached_mt(c, cache, ops[1], ops[1], opt);
-      EXPECT_EQ(cache.size(), 2u);
-      EXPECT_EQ(cache.stats().evictions, 0u);
-
-      DistSpgemmStats st;
-      spgemm_dist_cached_mt(c, cache, ops[2], ops[2], opt, &st);
-      EXPECT_EQ(cache.stats().evictions, 1u);
-      EXPECT_EQ(st.cache_evictions, 1u);
-      EXPECT_EQ(cache.size(), 2u);
-      EXPECT_FALSE(cache.contains(ops[0], ops[0], opt)) << "LRU victim must be tenant 0";
-      EXPECT_TRUE(cache.contains(ops[1], ops[1], opt));
-      EXPECT_TRUE(cache.contains(ops[2], ops[2], opt));
-      EXPECT_LE(cache.stats().bytes_resident, budget);
-      EXPECT_EQ(c.report().cache_evictions, 1u);
-      EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 1u);
-
-      // Forced rebuild: tenant 0 again is a miss, result still correct.
-      DistSpgemmStats st0;
-      auto got = spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt, &st0);
-      auto fresh = spgemm_dist(c, ops[0], ops[0], opt);
-      EXPECT_TRUE(got.local() == fresh.local());
-      EXPECT_EQ(st0.cache_misses, 1u);
-      EXPECT_FALSE(st0.plan_reused);
-      EXPECT_EQ(cache.stats().evictions, 2u);
-      EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 2u);
-      EXPECT_FALSE(cache.contains(ops[1], ops[1], opt)) << "new tail must be tenant 1";
+      PlanCache<double> cache;
+      for (int i = 0; i < 3; ++i) {
+        auto da = DistMatrix1D<double>::from_global(
+            c, with_values(tenants[static_cast<std::size_t>(i)], i));
+        spgemm_dist_cached_mt(c, cache, da, da, opt);
+        if (c.rank() == 0) bytes[static_cast<std::size_t>(i)] = cache.entries().front().bytes;
+      }
     });
   }
+  for (auto b : bytes) ASSERT_GT(b, 0u);
+
+  // Pass 2: budget one byte short of all three — the LRU victim (tenant 0)
+  // must be evicted when tenant 2 is admitted, deterministically on every
+  // rank; re-requesting tenant 0 is then a miss that rebuilds correctly and
+  // evicts the new tail (tenant 1).
+  const std::uint64_t budget = bytes[0] + bytes[1] + bytes[2] - 1;
+  Machine m(4);
+  m.run([&](Comm& c) {
+    PlanCache<double> cache(budget);
+    std::vector<DistMatrix1D<double>> ops;
+    for (int i = 0; i < 3; ++i)
+      ops.push_back(DistMatrix1D<double>::from_global(
+          c, with_values(tenants[static_cast<std::size_t>(i)], i)));
+    spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt);
+    spgemm_dist_cached_mt(c, cache, ops[1], ops[1], opt);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+
+    DistSpgemmStats st;
+    spgemm_dist_cached_mt(c, cache, ops[2], ops[2], opt, &st);
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_EQ(st.cache_evictions, 1u);
+    EXPECT_EQ(cache.size(), 2u);
+    EXPECT_FALSE(cache.contains(ops[0], ops[0], opt)) << "LRU victim must be tenant 0";
+    EXPECT_TRUE(cache.contains(ops[1], ops[1], opt));
+    EXPECT_TRUE(cache.contains(ops[2], ops[2], opt));
+    EXPECT_LE(cache.stats().bytes_resident, budget);
+    EXPECT_EQ(c.report().cache_evictions, 1u);
+    EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 1u);
+
+    // Forced rebuild: tenant 0 again is a miss, result still correct.
+    DistSpgemmStats st0;
+    auto got = spgemm_dist_cached_mt(c, cache, ops[0], ops[0], opt, &st0);
+    auto fresh = spgemm_dist(c, ops[0], ops[0], opt);
+    EXPECT_TRUE(got.local() == fresh.local());
+    EXPECT_EQ(st0.cache_misses, 1u);
+    EXPECT_FALSE(st0.plan_reused);
+    EXPECT_EQ(cache.stats().evictions, 2u);
+    EXPECT_EQ(c.report().cache_evictions_by_algo[distdetail::algo_slot(algo)], 2u);
+    EXPECT_FALSE(cache.contains(ops[1], ops[1], opt)) << "new tail must be tenant 1";
+  });
 }
 
 TEST(PlanCacheLru, TouchOrderIsMruFirst) {
@@ -520,7 +516,7 @@ TEST(PlanCacheNegative, QuickFingerprintCollisionIsNotAHit) {
 
     PlanCache<double> cache;
     DistSpgemmOptions opt;
-    opt.algo = Algo::Ring1D;
+    opt.algo = Algo::SparseAware1D;
     auto r1 = spgemm_dist_cached_mt(c, cache, d1, d1, opt);
     DistSpgemmStats st;
     auto r2 = spgemm_dist_cached_mt(c, cache, d2, d2, opt, &st);
@@ -562,7 +558,7 @@ TEST(PlanCacheCoherence, DivergentDecisionIsUniformValidationError) {
 TEST(PlanCacheCoherence, DivergentBatchVoteIsUniformValidationError) {
   auto pat = block_clustered<double>(100, 5, 4.0, 0.4, 79);
   DistSpgemmOptions opt;
-  opt.algo = Algo::Ring1D;
+  opt.algo = Algo::SparseAware1D;
   Machine m(4);
   auto out = run_capture(m, [&](Comm& c) {
     PlanCache<double> cache;

@@ -77,7 +77,7 @@ TEST(ReorderDifferential, AllBackendsBothSemiringsMatchIdentity) {
     m.run([&](Comm& c) {
       auto da = DistMatrix1D<double>::from_global(c, a);
       auto db = DistMatrix1D<double>::from_global(c, b);
-      for (Algo algo : {Algo::SparseAware1D, Algo::Ring1D, Algo::Summa2D, Algo::Split3D}) {
+      for (Algo algo : {Algo::SparseAware1D, Algo::Summa2D, Algo::Split3D}) {
         for (Ordering ord : {Ordering::Partitioned, Ordering::Random}) {
           DistSpgemmOptions opt;
           opt.algo = algo;

@@ -102,7 +102,7 @@ TEST(Collectives, SentEqualsReceivedMachineWide) {
     c.allgatherv(std::span<const index_t>(mine));
     std::vector<int> data;
     if (c.rank() == 2) data.assign(33, 5);
-    c.bcast(data, 2);
+    c.ibcast(data, 2).wait();
   });
   EXPECT_GT(rep.total_sent_bytes(), 0u);
   EXPECT_EQ(rep.total_sent_bytes(), rep.total_coll_bytes_received());
@@ -129,7 +129,7 @@ TEST(Collectives, Bcast) {
   m.run([](Comm& c) {
     std::vector<double> data;
     if (c.rank() == 2) data = {1.5, 2.5, 3.5};
-    c.bcast(data, 2);
+    c.ibcast(data, 2).wait();
     EXPECT_EQ(data, (std::vector<double>{1.5, 2.5, 3.5}));
   });
 }

@@ -3,9 +3,11 @@
 // properties (volume reduction, Ã compaction); the CV/memA advisor.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <utility>
+#include <vector>
 
 #include "core/spgemm1d.hpp"
 #include "dist/dist_spgemm.hpp"
@@ -192,6 +194,38 @@ TEST(Spgemm1d, SparsityAwareFetchesLessOnClusteredMatrix) {
     oblivious_bytes = rep.total_rdma_bytes();
   }
   EXPECT_LT(static_cast<double>(aware_bytes), 0.5 * static_cast<double>(oblivious_bytes));
+}
+
+TEST(Spgemm1d, ObliviousModeMovesAllOfA) {
+  // The sparsity-oblivious 1D baseline (Ballard et al.'s naive 1D): every
+  // rank fetches every remote nonzero of A, whatever B needs, so it moves
+  // far more than the sparsity-aware call and still computes the same C.
+  auto a = block_clustered<double>(256, 8, 6.0, 0.25, 9);
+  auto want = spgemm(a, a, LocalKernel::Spa);
+  const int P = 4;
+  Machine m(P);
+  std::vector<int> all_of_a(P, 0), bit_identical(P, 0);
+  auto oblivious = m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    Spgemm1dInfo info;
+    auto got = spgemm_1d(c, da, da, {.sparsity_aware = false}, &info).gather(c);
+    const auto r = static_cast<std::size_t>(c.rank());
+    all_of_a[r] = info.fetched_elems == a.nnz() - da.local_nnz() ? 1 : 0;
+    bit_identical[r] = got.colptr() == want.colptr() && got.rowids() == want.rowids() &&
+                               std::memcmp(got.vals().data(), want.vals().data(),
+                                           got.vals().size() * sizeof(double)) == 0
+                           ? 1
+                           : 0;
+  });
+  auto aware = m.run([&](Comm& c) {
+    auto da = DistMatrix1D<double>::from_global(c, a);
+    spgemm_1d(c, da, da);
+  });
+  for (int r = 0; r < P; ++r) {
+    EXPECT_EQ(all_of_a[static_cast<std::size_t>(r)], 1) << "rank " << r;
+    EXPECT_EQ(bit_identical[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
+  EXPECT_GT(oblivious.total_bytes_network(), 2 * aware.total_bytes_network());
 }
 
 TEST(Spgemm1d, RandomPermutationInflatesCommVolume) {

@@ -15,6 +15,7 @@
 
 #include "apps/amg.hpp"
 #include "core/spgemm1d.hpp"
+#include "dist/dist_spgemm.hpp"
 #include "sparse/generators.hpp"
 
 namespace sa1d {
@@ -237,50 +238,59 @@ TEST(SpgemmPlan1d, ReusedExecuteMovesOnlyValueTraffic) {
 }
 
 TEST(SpgemmPlan1d, CachedEntryPointReplansOnStructureChange) {
-  // spgemm_1d_cached must reuse while the pattern holds, replan when it
-  // changes, and stay correct throughout (the MCL/BC loop contract).
+  // spgemm_dist_cached on SA-1D must reuse while the pattern holds, replan
+  // when it changes, and stay correct throughout (the MCL/BC loop
+  // contract).
   auto pat1 = block_clustered<double>(128, 8, 4.0, 0.4, 21);
   auto pat2 = erdos_renyi<double>(128, 3.0, 22);  // different structure
   Machine m(4);
   m.run([&](Comm& c) {
-    SpgemmPlan1D<double> plan;
+    DistSpgemmPlan<double> plan;
+    DistSpgemmOptions opt;
+    opt.algo = Algo::SparseAware1D;
     const CscMatrix<double>* pats[] = {&pat1, &pat1, &pat2, &pat2, &pat1};
     for (int t = 0; t < 5; ++t) {
       auto cur = with_values(*pats[t], t);
       auto dm = DistMatrix1D<double>::from_global(c, cur);
-      auto got = spgemm_1d_cached(c, plan, dm, dm);
+      auto got = spgemm_dist_cached(c, plan, dm, dm, opt);
       auto fresh = spgemm_1d(c, dm, dm);
       EXPECT_TRUE(got.local() == fresh.local()) << "iter " << t;
     }
     // Reuse happened at t=1 and t=3, replans at t=0, t=2, t=4.
-    EXPECT_EQ(plan.executions(), 1);  // the plan built at t=4 ran once
+    EXPECT_EQ(plan.builds(), 3);
+    EXPECT_EQ(plan.replays(), 2);
   });
 }
 
 TEST(SpgemmPlan1d, CachedEntryPointReplansOnOptionChange) {
-  // Same structure, different options: the cached wrapper must rebuild —
-  // option fields shape the fetch plan (K, merging) and the local pass.
-  // Scattered matrix: most columns are needed remotely, so K controls the
-  // message count (as in Spgemm1d.BlockFetchKControlsMessageCount).
+  // Same structure, different options: the cached entry point must
+  // rebuild — option fields shape the fetch plan (K, merging) and the
+  // local pass. Scattered matrix: most columns are needed remotely, so K
+  // controls the message count (as in Spgemm1d.BlockFetchKControlsMessageCount).
   auto pat = erdos_renyi<double>(200, 5.0, 23);
   Machine m(4);
   m.run([&](Comm& c) {
     auto dm = DistMatrix1D<double>::from_global(c, pat);
-    SpgemmPlan1D<double> plan;
+    DistSpgemmPlan<double> plan;
+    DistSpgemmOptions opt;
+    opt.algo = Algo::SparseAware1D;
     std::uint64_t msgs_k1, msgs_k64;
     {
       RankReport before = c.report();
-      spgemm_1d_cached(c, plan, dm, dm, {.block_fetch_k = 1});
+      opt.sa1d.block_fetch_k = 1;
+      spgemm_dist_cached(c, plan, dm, dm, opt);
       msgs_k1 = c.report().rdma_msgs - before.rdma_msgs;
-      EXPECT_EQ(plan.options().block_fetch_k, 1);
+      EXPECT_EQ(plan.options().sa1d.block_fetch_k, 1);
     }
     {
       RankReport before = c.report();
-      spgemm_1d_cached(c, plan, dm, dm, {.block_fetch_k = 64});
+      opt.sa1d.block_fetch_k = 64;
+      spgemm_dist_cached(c, plan, dm, dm, opt);
       msgs_k64 = c.report().rdma_msgs - before.rdma_msgs;
-      EXPECT_EQ(plan.options().block_fetch_k, 64);
+      EXPECT_EQ(plan.options().sa1d.block_fetch_k, 64);
     }
     EXPECT_LT(msgs_k1, msgs_k64);  // the new K actually took effect
+    EXPECT_EQ(plan.builds(), 2);
   });
 }
 
